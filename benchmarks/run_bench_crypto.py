@@ -13,6 +13,11 @@ targets side by side and appends a run entry to a trajectory JSON file
 4. S-server search serving — serial ``handle_search`` loop vs
    ``handle_search_batch``, plus index deserialization cold vs cached.
 
+A fifth leg, ``symmetric``, times the patient's upload path primitive by
+primitive (HMAC one-shot and keyed, AES block and key schedule, 1 KiB
+CTR, ``DomainPrp.encrypt``) and end to end (a 20-file ``build_upload``
+and the whole client half of an upload).
+
 Usage::
 
     PYTHONPATH=src python benchmarks/run_bench_crypto.py \
@@ -33,15 +38,19 @@ import statistics
 import time
 from pathlib import Path
 
+from repro.crypto.aes import AES
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.fpbackend import active_backend
+from repro.crypto.hmac_impl import HmacKey, hmac_sha256
 from repro.crypto.ibs import batch_verify, sign, verify
 from repro.crypto.ibe import PrivateKeyGenerator
+from repro.crypto.modes import ctr_transform
 from repro.crypto.pairing import (PreparedPairing, clear_pairing_cache,
                                   tate_pairing)
 from repro.crypto.params import default_params, test_params
 from repro.crypto.peks import MultiKeywordPeks
 from repro.crypto.precompute import PrecomputedPoint
+from repro.crypto.prp import DomainPrp
 from repro.crypto.rng import HmacDrbg
 from repro.sse.index import SecureIndex, clear_index_cache, load_index_cached
 from repro.sse.scheme import Sse1Scheme, keygen
@@ -243,6 +252,59 @@ def bench_index_cache(iters: int) -> dict:
             "cached_ms": hot_s * 1e3, "speedup": cold_s / hot_s}
 
 
+def _time_us(fn, calls: int, iters: int) -> float:
+    """Median microseconds per call; each sample runs ``calls`` calls."""
+    def batch():
+        for _ in range(calls):
+            fn()
+    return _time(batch, iters) / calls * 1e6
+
+
+def bench_symmetric(params, iters: int) -> dict:
+    """The patient's upload path: symmetric primitives and the upload.
+
+    ``upload_client_ms`` is the in-process client half of one upload —
+    a fresh pseudonym, ``build_upload`` of a 20-file collection, and ν
+    with the S-server — warm (PK_S's prepared pairing built).
+    """
+    from repro.core.system import build_system
+    from repro.ehr.phi import generate_workload
+
+    key, message = bytes(range(32)), bytes(64)
+    keyed = HmacKey(key)
+    aes = AES(bytes(range(16)))
+    nonce, kib = bytes(12), bytes(1024)
+    alpha = 72       # α of a 58-node (20-file) secure index
+    prp = DomainPrp(key, alpha)
+    out = {"cpu_count": os.cpu_count(),
+           "hmac_oneshot_us": _time_us(lambda: hmac_sha256(key, message),
+                                       500, iters),
+           "hmac_keyed_us": _time_us(lambda: keyed.mac(message), 500, iters),
+           "aes_block_us": _time_us(lambda: aes.encrypt_block(nonce + b"ctr!"),
+                                    200, iters),
+           "aes_key_schedule_us": _time_us(lambda: AES(key[:16]), 200, iters),
+           "ctr_1kib_us": _time_us(lambda: ctr_transform(aes, nonce, kib),
+                                   5, iters),
+           "domain_prp_us": _time(lambda: [prp.encrypt(x)
+                                           for x in range(alpha)], iters)
+           / alpha * 1e6}
+
+    system = build_system(seed=b"bench-runner-symmetric", params=params)
+    patient, server_public = system.patient, system.sserver.identity_key.public
+    patient.import_collection(generate_workload(
+        HmacDrbg(b"bench-runner-upload"), 20, system.sserver.address))
+
+    def client_half():
+        pseudonym = patient.fresh_pseudonym()
+        patient.build_upload()
+        patient.session_key_with(server_public, pseudonym)
+
+    client_half()  # warm the prepared-pairing cache
+    out["build_upload_ms"] = _time(patient.build_upload, iters) * 1e3
+    out["upload_client_ms"] = _time(client_half, iters) * 1e3
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--params", choices=["ss512", "ss160"],
@@ -298,6 +360,17 @@ def main() -> None:
           % (results["index_cache"]["cold_ms"],
              results["index_cache"]["cached_ms"],
              results["index_cache"]["speedup"]))
+
+    print("== symmetric upload path (%s, %s cores) =="
+          % (args.params, os.cpu_count()))
+    results["symmetric"] = sym = bench_symmetric(params, args.iters)
+    print("   hmac one-shot %.2f us  keyed %.2f us  aes block %.1f us  "
+          "key schedule %.1f us  ctr 1KiB %.0f us  DomainPrp %.1f us"
+          % (sym["hmac_oneshot_us"], sym["hmac_keyed_us"],
+             sym["aes_block_us"], sym["aes_key_schedule_us"],
+             sym["ctr_1kib_us"], sym["domain_prp_us"]))
+    print("   build_upload (20 files) %.2f ms  client half %.2f ms"
+          % (sym["build_upload_ms"], sym["upload_client_ms"]))
 
     entry = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

@@ -32,7 +32,9 @@ from repro.analysis.framework import Finding, Module, Rule, register
 #: not authenticators, and are deliberately not matched.
 MACLIKE_NAME = re.compile(r"(^|_)(tag|mac|digest|hmac)(s)?($|_)|_tag$|^tag",
                           re.IGNORECASE)
-MACLIKE_CALLS = frozenset({"hmac_sha256", "digest", "hexdigest"})
+#: Calls whose result is MAC/digest material (``mac`` is the keyed
+#: :class:`~repro.crypto.hmac_impl.HmacKey` method).
+MACLIKE_CALLS = frozenset({"hmac_sha256", "mac", "digest", "hexdigest"})
 
 RANDOM_ALLOWED = frozenset({"src/repro/net/transport/faults.py"})
 

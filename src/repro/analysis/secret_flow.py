@@ -78,7 +78,8 @@ SECRET_NAME = re.compile(
 
 #: Calls through which a secret stops being secret (public metrics).
 SANITIZERS = frozenset({"len", "size_bytes", "size", "count", "sum",
-                        "sha256", "hmac_sha256", "digest", "hexdigest"})
+                        "sha256", "hmac_sha256", "mac", "digest",
+                        "hexdigest"})
 
 LOG_METHODS = frozenset({"debug", "info", "warning", "error",
                          "exception", "critical", "log"})

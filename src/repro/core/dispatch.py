@@ -95,6 +95,8 @@ class Endpoint:
         # Single-writer lock: at most one mutating frame is in a handler
         # at any moment, so journal commits observe a total order.
         self._write_lock = threading.Lock()
+        # Per-thread clock override set by :meth:`handle_frame_at`.
+        self._pinned = threading.local()
 
     def guards(self) -> list:
         """The :class:`ReplayGuard` instances whose windows must survive
@@ -109,9 +111,28 @@ class Endpoint:
 
     @property
     def now(self) -> float:
+        pinned = getattr(self._pinned, "now", None)
+        if pinned is not None:
+            return pinned
         if self._transport is None:
             raise TransportError("endpoint is not attached to a transport")
         return self._transport.now
+
+    def handle_frame_at(self, frame: bytes, now: float) -> bytes:
+        """:meth:`handle_frame` with this thread's clock fixed at ``now``.
+
+        The durable layer journals one timestamp per mutating frame and
+        replays the frame under it.  Running the live handler under the
+        same value makes replay mint byte-identical artifacts (the TR's
+        t_issue, audit leaves) even on a clock that moves while the
+        handler runs.  Other threads — concurrent read frames — keep the
+        transport's clock.
+        """
+        self._pinned.now = now
+        try:
+            return self.handle_frame(frame)
+        finally:
+            del self._pinned.now
 
     def handle_frame(self, frame: bytes) -> bytes:
         try:

@@ -146,8 +146,13 @@ class Patient:
 
     def session_key_with(self, server_public: Point,
                          pseudonym: TemporaryKeyPair) -> bytes:
-        """ν = ê(Γ_p, PK_S), derived locally — no key exchange messages."""
-        return shared_key_from_points(pseudonym.private, server_public)
+        """ν = ê(Γ_p, PK_S), derived locally — no key exchange messages.
+
+        Evaluated as ê(PK_S, Γ_p) (the pairing is symmetric): the
+        S-server's long-lived key takes the prepared slot, not the fresh
+        pseudonym's.
+        """
+        return shared_key_from_points(server_public, pseudonym.private)
 
     # -- PHI authoring ----------------------------------------------------
     def add_record(self, category: Category, keywords: list[str],

@@ -136,8 +136,8 @@ def mhi_retrieve(physician: Physician, aserver: StateAServer,
 
     # Step 1: ID_r, TD_r(kw) under HMAC_ρ.
     trapdoor = RolePeks.trapdoor(role_key.private, physician.params, keyword)
-    rho = shared_key_from_points(role_key.private,
-                                 server.identity_key.public)
+    rho = shared_key_from_points(server.identity_key.public,
+                                 role_key.private)
     request = seal(rho, "mhi-search",
                    role_identity.encode() + trapdoor.point.to_bytes(),
                    transport.now)

@@ -5,6 +5,13 @@ integrity (paper §IV.B–E).  We implement the inner/outer padding
 construction directly rather than using :mod:`hmac` so the whole MAC path
 is part of the reproduction, and expose a constant-time comparison to avoid
 timing side channels in verification.
+
+:class:`HmacKey` pads a key once and keeps the keyed inner and outer
+SHA-256 states; each MAC then costs two ``copy()`` calls and two
+compressions over the message.  Callers that reuse a key (the PRF seed,
+the Feistel round keys, a cipher's MAC key) hold one; :func:`hmac_sha256`
+is the one-shot form over it.  The object holds live hashlib state, so it
+cannot be pickled — keep it out of anything shipped to a worker process.
 """
 
 from __future__ import annotations
@@ -14,21 +21,48 @@ import hashlib
 from repro.exceptions import IntegrityError
 
 _BLOCK_SIZE = 64  # SHA-256 block size in bytes
-_IPAD = bytes(0x36 for _ in range(_BLOCK_SIZE))
-_OPAD = bytes(0x5C for _ in range(_BLOCK_SIZE))
+# bytes.translate tables: byte b -> b ^ 0x36 (ipad) and b ^ 0x5c (opad).
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
 HMAC_OUTPUT_SIZE = 32
 
 
+class HmacKey:
+    """HMAC-SHA256 under one fixed key.
+
+    >>> HmacKey(b"k").mac(b"m") == hmac_sha256(b"k", b"m")
+    True
+    """
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes) -> None:
+        if len(key) > _BLOCK_SIZE:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_BLOCK_SIZE, b"\x00")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
+
+    def mac(self, message: bytes) -> bytes:
+        """HMAC-SHA256(key, message)."""
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    def verify(self, message: bytes, tag: bytes) -> None:
+        """Raise :class:`IntegrityError` unless ``tag`` authenticates
+        ``message``."""
+        if not constant_time_equal(self.mac(message), tag):
+            raise IntegrityError("HMAC verification failed: message was "
+                                 "tampered with or the key is wrong")
+
+
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     """HMAC-SHA256(key, message) per RFC 2104."""
-    if len(key) > _BLOCK_SIZE:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_BLOCK_SIZE, b"\x00")
-    inner_key = bytes(k ^ i for k, i in zip(key, _IPAD))
-    outer_key = bytes(k ^ o for k, o in zip(key, _OPAD))
-    inner = hashlib.sha256(inner_key + message).digest()
-    return hashlib.sha256(outer_key + inner).digest()
+    return HmacKey(key).mac(message)
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
@@ -43,7 +77,4 @@ def constant_time_equal(a: bytes, b: bytes) -> bool:
 
 def verify_hmac(key: bytes, message: bytes, tag: bytes) -> None:
     """Raise :class:`IntegrityError` unless ``tag`` authenticates ``message``."""
-    expected = hmac_sha256(key, message)
-    if not constant_time_equal(expected, tag):
-        raise IntegrityError("HMAC verification failed: message was tampered "
-                             "with or the key is wrong")
+    HmacKey(key).verify(message, tag)

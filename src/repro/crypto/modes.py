@@ -19,7 +19,7 @@ derived via HMAC with distinct labels.
 from __future__ import annotations
 
 from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.hmac_impl import hmac_sha256, verify_hmac
+from repro.crypto.hmac_impl import HmacKey, hmac_sha256
 from repro.crypto.rng import HmacDrbg
 from repro.exceptions import DecryptionError, ParameterError
 
@@ -35,15 +35,14 @@ def ctr_transform(cipher: AES, nonce: bytes, data: bytes) -> bytes:
     """
     if len(nonce) != NONCE_SIZE:
         raise ParameterError("CTR nonce must be %d bytes" % NONCE_SIZE)
-    output = bytearray(len(data))
-    for block_index in range((len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        counter_block = nonce + block_index.to_bytes(4, "big")
-        keystream = cipher.encrypt_block(counter_block)
-        start = block_index * BLOCK_SIZE
-        chunk = data[start: start + BLOCK_SIZE]
-        for i, byte in enumerate(chunk):
-            output[start + i] = byte ^ keystream[i]
-    return bytes(output)
+    encrypt = cipher.encrypt_block
+    keystream = b"".join(
+        encrypt(nonce + block_index.to_bytes(4, "big"))
+        for block_index in range(-(-len(data) // BLOCK_SIZE)))
+    # One big-integer XOR over the whole buffer (keystream cut to length).
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(keystream[:len(data)], "big")
+            ).to_bytes(len(data), "big")
 
 
 def _derive_key(master: bytes, label: bytes, length: int = 16) -> bytes:
@@ -93,13 +92,13 @@ class AuthenticatedCipher:
         if not key:
             raise ParameterError("empty key")
         self._aes = AES(_derive_key(key, b"enc"))
-        self._mac_key = _derive_key(key, b"mac", 32)
+        self._mac = HmacKey(_derive_key(key, b"mac", 32))
 
     def encrypt(self, plaintext: bytes, rng: HmacDrbg,
                 associated_data: bytes = b"") -> bytes:
         nonce = rng.random_bytes(NONCE_SIZE)
         body = ctr_transform(self._aes, nonce, plaintext)
-        tag = hmac_sha256(self._mac_key, nonce + body + associated_data)
+        tag = self._mac.mac(nonce + body + associated_data)
         return nonce + body + tag
 
     def decrypt(self, ciphertext: bytes, associated_data: bytes = b"") -> bytes:
@@ -108,7 +107,7 @@ class AuthenticatedCipher:
         tag = ciphertext[-TAG_SIZE:]
         nonce_body = ciphertext[:-TAG_SIZE]
         try:
-            verify_hmac(self._mac_key, nonce_body + associated_data, tag)
+            self._mac.verify(nonce_body + associated_data, tag)
         except Exception as exc:
             raise DecryptionError("authentication tag mismatch") from exc
         nonce, body = nonce_body[:NONCE_SIZE], nonce_body[NONCE_SIZE:]

@@ -10,6 +10,9 @@ messages, exactly as the paper specifies:
 Each party pairs *its own private key* with the *other's public key*;
 bilinearity makes both sides equal (both are ê(PK_a, PK_b)^s0).  The raw
 G2 element is passed through a KDF to obtain HMAC/AES key material.
+The pairing is symmetric, so either point may go first; the long-lived
+one does, because the first argument is the one whose Miller loop is
+prepared and cached (see :func:`shared_key_from_points`).
 """
 
 from __future__ import annotations
@@ -26,15 +29,19 @@ __all__ = ["shared_key", "shared_key_from_points", "SHARED_KEY_SIZE"]
 SHARED_KEY_SIZE = 32
 
 
-def shared_key_from_points(my_private: Point, their_public: Point) -> bytes:
-    """Derive the SOK shared key ê(my_private, their_public) → 32 bytes.
+def shared_key_from_points(long_lived: Point, ephemeral: Point) -> bytes:
+    """Derive the SOK shared key ê(long_lived, ephemeral) → 32 bytes.
 
-    The caller's own private key is the long-lived side (the S-server pairs
-    its fixed Γ_S against every client), so it takes the prepared slot.
+    The first argument takes the prepared slot, so it must be the
+    long-lived point of the two: the S-server pairs its fixed Γ_S against
+    every client, and a patient pairs the S-server's fixed PK_S against
+    each fresh Γ′ (the pairing is symmetric, so ê(Γ′, PK_S) = ê(PK_S, Γ′)
+    byte for byte).  An ephemeral point in the first slot would build —
+    and push into the bounded cache — a preparation used exactly once.
     """
-    if my_private.is_infinity or their_public.is_infinity:
+    if long_lived.is_infinity or ephemeral.is_infinity:
         raise ParameterError("NIKE inputs must be non-infinity points")
-    value = prepared(my_private).pair(their_public)
+    value = prepared(long_lived).pair(ephemeral)
     return hashlib.sha256(b"HCPP-NIKE:" + value.to_bytes()).digest()[:SHARED_KEY_SIZE]
 
 
@@ -50,6 +57,6 @@ SHARED_KEY_SPEC = "repro.crypto.nike:_shared_key_task"
 
 
 def _shared_key_task(item: "tuple[Point, Point]") -> bytes:
-    """Engine task: ``item = (my_private, their_public)``."""
-    my_private, their_public = item
-    return shared_key_from_points(my_private, their_public)
+    """Engine task: ``item = (long_lived, ephemeral)``."""
+    long_lived, ephemeral = item
+    return shared_key_from_points(long_lived, ephemeral)

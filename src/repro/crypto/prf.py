@@ -10,7 +10,7 @@ lengths because the SSE construction needs outputs of exactly
 
 from __future__ import annotations
 
-from repro.crypto.hmac_impl import hmac_sha256
+from repro.crypto.hmac_impl import HmacKey
 from repro.exceptions import ParameterError
 
 
@@ -24,18 +24,16 @@ class Prf:
     def __init__(self, seed: bytes, output_bits: int) -> None:
         if output_bits <= 0:
             raise ParameterError("PRF output length must be positive")
-        self._seed = seed
+        self._mac = HmacKey(seed).mac
         self.output_bits = output_bits
         self.output_bytes = (output_bits + 7) // 8
+        self._blocks = -(-self.output_bytes // 32)
 
     def __call__(self, x: bytes) -> bytes:
         """Evaluate f_s(x) to exactly ``output_bits`` bits (MSB-padded)."""
-        output = b""
-        counter = 0
-        while len(output) < self.output_bytes:
-            output += hmac_sha256(self._seed,
-                                  counter.to_bytes(4, "big") + x)
-            counter += 1
+        mac = self._mac
+        output = b"".join(mac(counter.to_bytes(4, "big") + x)
+                          for counter in range(self._blocks))
         output = output[: self.output_bytes]
         # Mask excess high bits so the value fits output_bits exactly.
         excess = self.output_bytes * 8 - self.output_bits

@@ -23,7 +23,7 @@ Both are bijections for every key, invertible, and deterministic.
 
 from __future__ import annotations
 
-from repro.crypto.hmac_impl import hmac_sha256
+from repro.crypto.hmac_impl import HmacKey
 from repro.exceptions import ParameterError
 
 _DEFAULT_ROUNDS = 10
@@ -41,21 +41,22 @@ class FeistelPrp:
         self.rounds = rounds
         self._left_bits = (bits + 1) // 2
         self._right_bits = bits // 2
-        # Pre-derive one round key per round (domain-separated HMAC keys).
-        self._round_keys = [
-            hmac_sha256(key, b"feistel-round" + i.to_bytes(4, "big"))
-            for i in range(rounds)
-        ]
+        # One keyed MAC per round (domain-separated round keys), with the
+        # number of output blocks and the mask of the half it updates.
+        master = HmacKey(key)
+        self._rounds = []
+        for i in range(rounds):
+            out_bits = self._right_bits if i % 2 else self._left_bits
+            round_key = master.mac(b"feistel-round" + i.to_bytes(4, "big"))
+            self._rounds.append((HmacKey(round_key).mac, -(-out_bits // 256),
+                                 (1 << out_bits) - 1))
 
-    def _round_function(self, round_index: int, value: int, out_bits: int) -> int:
+    def _round_function(self, round_index: int, value: int) -> int:
+        mac, blocks, mask = self._rounds[round_index]
         data = value.to_bytes(max(16, (value.bit_length() + 7) // 8), "big")
-        key = self._round_keys[round_index]
-        digest = b""
-        counter = 0
-        while len(digest) * 8 < out_bits:
-            digest += hmac_sha256(key, counter.to_bytes(4, "big") + data)
-            counter += 1
-        return int.from_bytes(digest, "big") & ((1 << out_bits) - 1)
+        digest = b"".join(mac(counter.to_bytes(4, "big") + data)
+                          for counter in range(blocks))
+        return int.from_bytes(digest, "big") & mask
 
     def encrypt(self, x: int) -> int:
         """Apply the permutation to an integer in [0, 2^bits)."""
@@ -66,9 +67,9 @@ class FeistelPrp:
         for i in range(self.rounds):
             # Alternate half-sizes to realise the unbalanced network.
             if i % 2 == 0:
-                left = left ^ self._round_function(i, right, self._left_bits)
+                left ^= self._round_function(i, right)
             else:
-                right = right ^ self._round_function(i, left, self._right_bits)
+                right ^= self._round_function(i, left)
         return (left << self._right_bits) | right
 
     def decrypt(self, y: int) -> int:
@@ -79,9 +80,9 @@ class FeistelPrp:
         right = y & ((1 << self._right_bits) - 1)
         for i in reversed(range(self.rounds)):
             if i % 2 == 0:
-                left = left ^ self._round_function(i, right, self._left_bits)
+                left ^= self._round_function(i, right)
             else:
-                right = right ^ self._round_function(i, left, self._right_bits)
+                right ^= self._round_function(i, left)
         return (left << self._right_bits) | right
 
     # Byte-string convenience used by the multi-user SSE θ wrapping.

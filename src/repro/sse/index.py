@@ -230,14 +230,17 @@ def build_secure_index(
         # λ_{i,0}: the key stored (masked) in T that opens the head node.
         lam_prev = rng.random_bytes(LAMBDA_BYTES)
         head_key = lam_prev
+        # φ(C) is evaluated once per node: as the head address, or as the
+        # predecessor's next pointer, which is also this node's slot.
+        slot = head_addr
         for j, fid in enumerate(fids):
             tail = j == len(fids) - 1
             lam_next = rng.random_bytes(LAMBDA_BYTES)
             next_addr = 0 if tail else phi.encrypt(counter + 1)
             node = _pack_node(fid, lam_next if not tail else bytes(LAMBDA_BYTES),
                               next_addr, tail)
-            slot = phi.encrypt(counter)
             array[slot] = SemanticCipher(lam_prev).encrypt(node, rng)
+            slot = next_addr
             lam_prev = lam_next
             counter += 1
         value = head_addr.to_bytes(ADDR_BYTES, "big") + head_key

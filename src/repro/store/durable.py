@@ -214,14 +214,17 @@ class DurableEndpoint:
         # regenerate the guard commitment through the same handler, and
         # journaling it separately would make the replayed tag collide
         # with the replayed frame.
-        # The journaled timestamp is the clock the handler *started*
-        # under: nested pushes (the A-server's step 3) advance the
-        # clock mid-handler, and replay must mint byte-identical
-        # artifacts (t_issue in the TR) from the original time.
-        started = self._transport.now if self._transport else 0.0
+        # The handler runs under exactly the (ms-quantized) timestamp
+        # the journal records for it: the clock moves mid-handler — a
+        # real clock on every read, nested pushes (the A-server's step
+        # 3) on a simulated one — and replay, which sets the recovery
+        # clock to the journaled value, must mint byte-identical
+        # artifacts (t_issue in the TR, the audit leaf).
+        started = (ts_ms(self._transport.now) / 1000.0
+                   if self._transport else 0.0)
         self._suspend_thread = threading.get_ident()
         try:
-            response = inner.handle_frame(frame)
+            response = inner.handle_frame_at(frame, started)
         finally:
             self._suspend_thread = None
         if response[:1] == _STATUS_OK:

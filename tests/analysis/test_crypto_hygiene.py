@@ -36,6 +36,23 @@ def test(tag, value):
 """, rule)
 
 
+def test_equality_on_keyed_mac_flags(rule):
+    # The keyed HmacKey.mac output is MAC material whatever the other
+    # side is called.
+    findings = analyze_source("""
+def verify(key, message, expected):
+    return key.mac(message) == expected
+""", rule)
+    assert findings and "constant_time_equal" in findings[0].message
+
+
+def test_keyed_mac_constant_time_is_clean(rule):
+    assert not analyze_source("""
+def verify(key, message, expected):
+    return constant_time_equal(key.mac(message), expected)
+""", rule)
+
+
 def test_constant_time_helpers_are_clean(rule):
     assert not analyze_source("""
 def verify(tag, expected):

@@ -234,6 +234,24 @@ def lookup(table):
 """)
 
 
+def test_keyed_mac_output_is_public(rule):
+    # A MAC tag is public by design (it rides every envelope), whether
+    # the one-shot or the keyed form produced it.
+    assert not _hits(rule, """
+def report(log, session_key, passcode):
+    key = HmacKey(session_key)
+    log.info("tag %s", key.mac(passcode))
+""")
+
+
+def test_mac_key_object_itself_still_sinks(rule):
+    assert _hits(rule, """
+def report(log, session_key):
+    key = HmacKey(session_key)
+    log.info("key %r", key)
+""")
+
+
 def test_sanitizer_stops_interprocedural_taint(rule):
     assert not _hits(rule, """
 def derive():

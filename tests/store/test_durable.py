@@ -28,10 +28,11 @@ ALLERGY = "Severe penicillin allergy; carries epinephrine."
 CARDIO = "Prior MI (2024); ejection fraction 45%."
 
 
-def _deployment(tmp_path, seed=b"durable-tests", **store_kwargs):
+def _deployment(tmp_path, seed=b"durable-tests", transport=None,
+                **store_kwargs):
     system = build_system(seed=seed)
     faults = FaultPolicy(seed=0)
-    net = with_policies(LoopbackTransport(),
+    net = with_policies(transport or LoopbackTransport(),
                         retry=RetryPolicy(attempt_timeout_s=0.2,
                                           base_backoff_s=0.01),
                         faults=faults)
@@ -270,6 +271,44 @@ class TestCorruptionRefusal:
                 writer.append(record.kind, payload, record.ts_ms)
         with pytest.raises(RecoveryError, match="checkpoint"):
             faults.restart(system.state.address)
+
+
+class _AdvancingClock(LoopbackTransport):
+    """A wall-clock stand-in: every read of ``now`` moves time 0.37 ms
+    on, so a handler never reads the instant its frame arrived at."""
+
+    @property
+    def now(self) -> float:
+        self._now += 0.00037
+        return self._now
+
+
+class TestAdvancingClockRecovery:
+    def test_aserver_replays_break_glass_auths_byte_identically(
+            self, tmp_path):
+        # Replay runs each journaled frame under the journaled timestamp;
+        # the live handler must have minted its TR (t_issue) and audit
+        # leaf under that same value, or the recovered audit log would
+        # not match the checkpoint committed before the crash.
+        system, net, faults, _ = _deployment(tmp_path,
+                                             transport=_AdvancingClock())
+        patient, server = _seed_and_store(system, net)
+        assign_privilege(patient, system.pdevice, server, net)
+        physician = system.any_physician()
+        system.state.sign_in(physician.hospital, physician.physician_id)
+        for keyword in ("cardiology", "allergies", "cardiology"):
+            pdevice_emergency_retrieval(physician, system.pdevice,
+                                        system.state, server, net,
+                                        [keyword])
+        log = system.state.audit_log
+        assert len(log) >= 3
+        entries = [log.entry(i) for i in range(len(log))]
+        checkpoint = log.checkpoint()
+        faults.crash(system.state.address)
+        faults.restart(system.state.address)
+        log = system.state.audit_log
+        assert [log.entry(i) for i in range(len(log))] == entries
+        assert log.checkpoint() == checkpoint
 
 
 class TestKeystore:
