@@ -21,8 +21,7 @@ import pytest
 from repro.crypto.aes import AES
 from repro.crypto.hmac_impl import hmac_sha256
 from repro.crypto.ibe import BasicIdent, PrivateKeyGenerator
-from repro.crypto.ibs import (batch_verify as ibs_batch_verify,
-                              sign as ibs_sign, verify as ibs_verify)
+from repro.crypto.ibs import sign as ibs_sign, verify as ibs_verify
 from repro.crypto.pairing import PreparedPairing, clear_pairing_cache, \
     tate_pairing
 from repro.crypto.params import default_params
@@ -176,22 +175,6 @@ def test_prepared_pairing_ss512(benchmark):
     result = benchmark(one)
     assert not result.is_one()
     benchmark.extra_info["vs"] = "test_tate_pairing_ss512 (cold Miller loop)"
-
-
-def test_ibs_batch_verify_ss512(benchmark):
-    """8 Hess signatures through the randomized single-final-exp batch."""
-    rng = HmacDrbg(b"bench-ibs-batch")
-    pkg = PrivateKeyGenerator(SS512, rng)
-    items = []
-    for i in range(8):
-        identity = "dr-batch-%d" % i
-        key = pkg.extract(identity)
-        message = b"request-%d" % i
-        items.append((identity, message, ibs_sign(SS512, key, message, rng)))
-    ok = benchmark(lambda: ibs_batch_verify(SS512, pkg.public_key, items))
-    assert ok
-    benchmark.extra_info["batch_size"] = len(items)
-    benchmark.extra_info["vs"] = "8 x test_ibs_verify_ss512"
 
 
 def test_symmetric_vs_pairing_gap():

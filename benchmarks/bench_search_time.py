@@ -9,6 +9,8 @@ on N).  The ablation compares the FKS table against a plain dict.
 
 import pytest
 
+from repro.core.protocols.messages import Envelope
+from repro.crypto.ec import Point
 from repro.crypto.rng import HmacDrbg
 from repro.sse.fks import FksTable
 from repro.sse.index import SecureIndex, clear_index_cache, load_index_cached
@@ -88,31 +90,35 @@ def _batch_requests(system, n_requests: int):
         # Distinct timestamps keep the replay guard out of the picture.
         envelope = seal(nu, "phi-retrieve", pack_fields(td),
                         1000.0 + i * 0.001)
-        requests.append((SearchRequest(pseudonym=pseudonym.public,
+        requests.append((SearchRequest(pseudonym=pseudonym.public.to_bytes(),
                                        collection_id=collection_id,
-                                       envelope=envelope),
+                                       envelope=envelope.to_bytes()),
                          1000.0 + i * 0.001))
     return server, requests
 
 
-@pytest.mark.parametrize("mode", ["serial", "parallel"])
+@pytest.mark.parametrize("mode", ["serial", "batched"])
 def test_batched_search_modes(benchmark, mode):
-    """8 independent search requests: serial loop vs the worker pool.
+    """8 independent search requests: a serial loop vs one OP_SEARCH_BATCH.
 
-    The replies are byte-identical across modes; the benchmark exposes
-    whatever wall-clock win the thread pool extracts (bounded here by the
-    GIL — the pool targets the multi-client serving pattern).
+    The replies are byte-identical across modes; the batched handler
+    adds only the per-entry decode and outcome bookkeeping.
     """
     system = build_stored_system(n_files=10, seed=b"bench-batch")
 
     def run():
         server, requests = _batch_requests(system, 8)
         if mode == "serial":
-            return [server.handle_search(req.pseudonym, req.collection_id,
-                                         req.envelope, now)
+            curve = server.params.curve
+            return [server.handle_search(
+                        Point.from_bytes(req.pseudonym, curve),
+                        req.collection_id, Envelope.from_bytes(req.envelope),
+                        now)
                     for req, now in requests]
-        return server.handle_search_batch([req for req, _ in requests],
-                                          requests[0][1])
+        outcomes = server.handle_search_each([req for req, _ in requests],
+                                             requests[0][1])
+        assert all(exc is None for _, exc in outcomes)
+        return [reply for reply, _ in outcomes]
 
     replies = benchmark(run)
     assert len(replies) == 8

@@ -1,19 +1,16 @@
 """Standalone before/after benchmark for the hot-path accelerations.
 
-Measures the naive and accelerated variants of the four optimisation
-targets side by side and appends a run entry to a trajectory JSON file
-(default ``BENCH_crypto.json`` at the repo root):
+Measures the naive and accelerated variants of the optimisation targets
+side by side and appends a run entry to a trajectory JSON file (default
+``BENCH_crypto.json`` at the repo root):
 
 1. fixed-base scalar multiplication — generic NAF ``Point.__mul__`` vs the
    windowed :class:`~repro.crypto.precompute.PrecomputedPoint` tables,
 2. fixed-first-argument pairing — full ``tate_pairing`` Miller loop vs
    :class:`~repro.crypto.pairing.PreparedPairing` replay,
-3. Hess IBS verification — per-signature ``verify`` vs the randomized
-   single-final-exponentiation ``batch_verify`` (n = 8),
-4. S-server search serving — serial ``handle_search`` loop vs
-   ``handle_search_batch``, plus index deserialization cold vs cached.
+3. S-server index deserialization — cold vs cached.
 
-A fifth leg, ``symmetric``, times the patient's upload path primitive by
+A fourth leg, ``symmetric``, times the patient's upload path primitive by
 primitive (HMAC one-shot and keyed, AES block and key schedule, 1 KiB
 CTR, ``DomainPrp.encrypt``) and end to end (a 20-file ``build_upload``
 and the whole client half of an upload).
@@ -24,8 +21,7 @@ Usage::
         --params ss512 --iters 20 --out BENCH_crypto.json
 
 The crypto sections honour ``--params`` (ss512 = production Type-A,
-ss160 = fast test curve); the search sections always run on the fast test
-parameters because their cost is symmetric-crypto-bound.
+ss160 = fast test curve).
 """
 
 from __future__ import annotations
@@ -39,26 +35,16 @@ import time
 from pathlib import Path
 
 from repro.crypto.aes import AES
-from repro.crypto.engine import CryptoEngine
-from repro.crypto.fpbackend import active_backend
 from repro.crypto.hmac_impl import HmacKey, hmac_sha256
-from repro.crypto.ibs import batch_verify, sign, verify
-from repro.crypto.ibe import PrivateKeyGenerator
 from repro.crypto.modes import ctr_transform
 from repro.crypto.pairing import (PreparedPairing, clear_pairing_cache,
                                   tate_pairing)
 from repro.crypto.params import default_params, test_params
-from repro.crypto.peks import MultiKeywordPeks
 from repro.crypto.precompute import PrecomputedPoint
 from repro.crypto.prp import DomainPrp
 from repro.crypto.rng import HmacDrbg
 from repro.sse.index import SecureIndex, clear_index_cache, load_index_cached
 from repro.sse.scheme import Sse1Scheme, keygen
-
-IBS_BATCH = 8
-SEARCH_BATCH = 8
-ENGINE_BATCH = 16
-ENGINE_WORKER_STEPS = (1, 2, 4)
 
 
 def _time(fn, iters: int) -> float:
@@ -111,132 +97,6 @@ def bench_prepared_pairing(params, iters: int) -> dict:
     assert prep.pair(qs[0]) == tate_pairing(P, qs[0])
     return {"naive_ms": naive_s * 1e3, "accelerated_ms": fast_s * 1e3,
             "prepare_ms": build_s * 1e3, "speedup": naive_s / fast_s}
-
-
-def bench_ibs_batch(params, iters: int) -> dict:
-    rng = HmacDrbg(b"bench-runner-ibs")
-    pkg = PrivateKeyGenerator(params, rng)
-    items = []
-    for i in range(IBS_BATCH):
-        identity = "dr-%d" % i
-        key = pkg.extract(identity)
-        message = b"msg-%d" % i
-        items.append((identity, message, sign(params, key, message, rng)))
-
-    iters = max(1, iters // 4)  # each call is 8 verifications
-    naive_s = _time(lambda: all(verify(params, pkg.public_key, i, m, s)
-                                for i, m, s in items), iters)
-    fast_s = _time(lambda: batch_verify(params, pkg.public_key, items), iters)
-    assert batch_verify(params, pkg.public_key, items)
-    return {"batch_size": IBS_BATCH, "naive_ms": naive_s * 1e3,
-            "accelerated_ms": fast_s * 1e3, "speedup": naive_s / fast_s}
-
-
-def _build_search_system():
-    from repro.core.protocols.storage import private_phi_storage
-    from repro.core.system import build_system
-    from repro.ehr.phi import generate_workload
-    system = build_system(seed=b"bench-runner-search")
-    workload = generate_workload(system.rng.fork("workload"), 10,
-                                 server_address=system.sserver.address)
-    system.patient.import_collection(workload)
-    private_phi_storage(system.patient, system.sserver, system.network)
-    return system
-
-
-def _search_requests(system, count: int, now_base: float):
-    from repro.core.protocols.messages import pack_fields, seal
-    from repro.core.sserver import SearchRequest
-    server = system.sserver
-    collection_id = system.patient.collection_ids[server.address]
-    keywords = sorted(system.patient.collection.index.keywords())
-    requests = []
-    for i in range(count):
-        pseudonym = system.patient.fresh_pseudonym()
-        nu = system.patient.session_key_with(server.identity_key.public,
-                                             pseudonym)
-        td = system.patient.trapdoor(keywords[i % len(keywords)]).to_bytes()
-        requests.append(SearchRequest(
-            pseudonym=pseudonym.public, collection_id=collection_id,
-            envelope=seal(nu, "phi-retrieve", pack_fields(td),
-                          now_base + i * 1e-3)))
-    return server, requests
-
-
-def bench_parallel_search(iters: int) -> dict:
-    system = _build_search_system()
-    iters = max(2, iters // 2)
-
-    def serial(now_base):
-        server, requests = _search_requests(system, SEARCH_BATCH, now_base)
-        return [server.handle_search(r.pseudonym, r.collection_id,
-                                     r.envelope, now_base)
-                for r in requests]
-
-    def batched(now_base):
-        server, requests = _search_requests(system, SEARCH_BATCH, now_base)
-        return server.handle_search_batch(requests, now_base)
-
-    # Fresh timestamps per round keep the replay guard green.
-    serial_s = _time_each(serial, [1e4 + 10.0 * i for i in range(iters)])
-    batch_s = _time_each(batched, [1e6 + 10.0 * i for i in range(iters)])
-    return {"batch_size": SEARCH_BATCH, "serial_ms": serial_s * 1e3,
-            "parallel_ms": batch_s * 1e3, "speedup": serial_s / batch_s}
-
-
-def bench_engine_scaling(params, iters: int) -> dict:
-    """Per-core scaling of the process-parallel crypto engine.
-
-    Runs IBS batch verification and multi-keyword PEKS search (the two
-    pairing-heaviest served batches) serially and through
-    :class:`~repro.crypto.engine.CryptoEngine` pools of 1/2/4 workers.
-    ``cpu_count`` is recorded alongside the timings: process pools scale
-    with *cores*, so a 4-worker speedup is only meaningful relative to
-    the cores the box actually has (on a 1-core machine the pooled runs
-    measure pure IPC overhead, and the 1-worker engine — which never
-    forks — is the never-worse-than-serial guarantee).
-    """
-    rng = HmacDrbg(b"bench-runner-engine")
-    pkg = PrivateKeyGenerator(params, rng)
-    iters = max(2, iters // 4)
-
-    sigs = []
-    for i in range(ENGINE_BATCH):
-        identity = "dr-%d" % i
-        key = pkg.extract(identity)
-        message = b"msg-%d" % i
-        sigs.append((identity, message, sign(params, key, message, rng)))
-
-    role = "2026|ER|bench"
-    role_key = pkg.extract(role)
-    peks = MultiKeywordPeks(params, pkg.public_key)
-    tags = [peks.tag(role, ["kw-%d" % i, "common"], rng)
-            for i in range(ENGINE_BATCH)]
-    trapdoor = MultiKeywordPeks.trapdoor(role_key.private, params, "common")
-
-    def measure(make_call):
-        serial_s = _time(make_call(None), iters)
-        per_worker = {}
-        for workers in ENGINE_WORKER_STEPS:
-            with CryptoEngine(workers, prepare_points=(params.generator,
-                                                       pkg.public_key),
-                              min_parallel=2) as engine:
-                engine.start()  # pay fork + warm-up outside the timer
-                pooled_s = _time(make_call(engine), iters)
-            per_worker[str(workers)] = {"ms": pooled_s * 1e3,
-                                        "speedup": serial_s / pooled_s}
-        return {"batch_size": ENGINE_BATCH, "serial_ms": serial_s * 1e3,
-                "workers": per_worker}
-
-    out = {"cpu_count": os.cpu_count(),
-           "fp_backend": active_backend().name}
-    out["ibs_batch_verify"] = measure(
-        lambda eng: lambda: batch_verify(params, pkg.public_key, sigs,
-                                         engine=eng))
-    out["multi_keyword_search"] = measure(
-        lambda eng: lambda: MultiKeywordPeks.test_batch(tags, trapdoor,
-                                                        engine=eng))
-    return out
 
 
 def bench_index_cache(iters: int) -> dict:
@@ -332,28 +192,6 @@ def main() -> None:
           % (results["prepared_pairing"]["naive_ms"],
              results["prepared_pairing"]["accelerated_ms"],
              results["prepared_pairing"]["speedup"]))
-    print("== IBS batch verification (%s, n=%d) ==" % (args.params, IBS_BATCH))
-    results["ibs_batch_verify"] = bench_ibs_batch(params, args.iters)
-    print("   serial %.3f ms  batched %.3f ms  speedup %.2fx"
-          % (results["ibs_batch_verify"]["naive_ms"],
-             results["ibs_batch_verify"]["accelerated_ms"],
-             results["ibs_batch_verify"]["speedup"]))
-    print("== S-server batched search (test params, n=%d) ==" % SEARCH_BATCH)
-    results["parallel_search"] = bench_parallel_search(args.iters)
-    print("   serial %.3f ms  pooled %.3f ms  speedup %.2fx"
-          % (results["parallel_search"]["serial_ms"],
-             results["parallel_search"]["parallel_ms"],
-             results["parallel_search"]["speedup"]))
-    print("== engine per-core scaling (%s, n=%d, %s cores) =="
-          % (args.params, ENGINE_BATCH, os.cpu_count()))
-    results["engine_scaling"] = bench_engine_scaling(params, args.iters)
-    for section in ("ibs_batch_verify", "multi_keyword_search"):
-        line = "   %-20s serial %.3f ms" % (
-            section, results["engine_scaling"][section]["serial_ms"])
-        for workers in ENGINE_WORKER_STEPS:
-            entry = results["engine_scaling"][section]["workers"][str(workers)]
-            line += "  %dw %.2fx" % (workers, entry["speedup"])
-        print(line)
     print("== index deserialization cache ==")
     results["index_cache"] = bench_index_cache(args.iters)
     print("   cold %.3f ms  cached %.4f ms  speedup %.0fx"

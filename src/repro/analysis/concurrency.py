@@ -51,9 +51,10 @@ MUTATOR_METHODS = frozenset({
 #: executors, transports).  ``self._pool.terminate()`` racing a
 #: ``with self._lock: self._pool = ctx.Pool(...)`` is the same
 #: lost-update shape as an unlocked ``.append`` — a worker can submit
-#: to a pool another thread is tearing down.  The crypto engine (PR 6)
-#: guards its pool with a lock; this teaches the pass that calling a
-#: lifecycle method *is* a mutation of the attribute holding the pool.
+#: to a pool another thread is tearing down.  The federation router
+#: guards its scatter pool with a lock; this teaches the pass that
+#: calling a lifecycle method *is* a mutation of the attribute holding
+#: the pool.
 LIFECYCLE_METHODS = frozenset({
     "close", "terminate", "join", "shutdown", "start", "cancel",
 })

@@ -79,12 +79,6 @@ CONTRACTS = (
     Contract(prefix="repro.crypto",
              allowed=("repro.crypto", "repro.exceptions"),
              why="the cryptographic core is auditable in isolation"),
-    Contract(prefix="repro.crypto.engine",
-             allowed=("repro.crypto", "repro.exceptions"),
-             why="the worker-pool engine stays bottom-layer: stdlib "
-                 "multiprocessing is fine, but tasks are resolved from "
-                 "dotted 'module:function' specs at run time so the "
-                 "engine never imports sse/core/protocol modules"),
     Contract(prefix="repro.sse",
              allowed=("repro.sse", "repro.crypto", "repro.exceptions"),
              why="searchable encryption builds only on crypto"),
@@ -103,9 +97,9 @@ CONTRACTS = (
     Contract(prefix="repro.net",
              forbidden=("repro.core.aserver", "repro.core.sserver",
                         "repro.core.entities", "repro.core.dispatch",
-                        "repro.core.protocols", "repro.crypto.engine"),
-             why="transports carry bytes; entities, protocols, and the "
-                 "crypto worker pool live above/below the wire"),
+                        "repro.core.protocols"),
+             why="transports carry bytes; entities and protocols live "
+                 "above the wire"),
     Contract(prefix="repro.core.shard",
              allowed=("repro.core.shard", "repro.exceptions"),
              why="the consistent-hash ring is pure placement math below "
@@ -123,12 +117,10 @@ CONTRACTS = (
                  "position; it must never import entity or protocol "
                  "layers (it cannot open what it routes)"),
     Contract(prefix="repro.core.protocols",
-             forbidden=("repro.net.sim", "repro.crypto.engine"),
+             forbidden=("repro.net.sim",),
              frames_only=True,
              why="protocols speak only wire frames through a transport "
-                 "(PR 2 dispatch boundary); the crypto engine is reached "
-                 "only through engine= keywords on served surfaces, "
-                 "never pooled directly from a protocol flow"),
+                 "(PR 2 dispatch boundary)"),
 )
 
 

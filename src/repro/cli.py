@@ -424,11 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "to explicit PARTIAL results when a shard "
                              "is down (circuit-breaker routed) instead "
                              "of failing outright")
-    common.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="crypto worker processes for the batched "
-                             "pairing paths (batch verify, multi-keyword "
-                             "search); 0 or 1 = serial.  Overrides "
-                             "HCPP_CRYPTO_WORKERS for this run")
     parser = argparse.ArgumentParser(
         prog="repro-hcpp",
         description="Drive an in-process HCPP (ICDCS'11) deployment.")
@@ -467,17 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    workers = getattr(args, "workers", 0) or 0
-    if not workers:
-        return args.func(args)
-    # Install the process-wide default engine: every engine-aware hot
-    # path (batch verify, search) picks it up without plumbing.
-    from repro.crypto.engine import configure
-    configure(workers)
-    try:
-        return args.func(args)
-    finally:
-        configure(0)  # drain the pool before the interpreter exits
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -257,14 +257,17 @@ class SServerEndpoint(Endpoint):
         Per-entry framing is what lets the federation router scatter
         sub-batches to shards and splice the per-entry responses back
         together byte-identically to one server serving the whole batch.
+        The framing the router checks before it scatters (three entry
+        fields, four envelope fields) fails the whole frame here too;
+        everything past it fails only its own entry.
         """
         requests = []
         for entry in fields:
             pseud_b, collection_id, env_b = unpack_fields(entry, expected=3)
+            unpack_fields(env_b, expected=4)
             requests.append(SearchRequest(
-                pseudonym=Point.from_bytes(pseud_b, self._curve),
-                collection_id=collection_id,
-                envelope=Envelope.from_bytes(env_b)))
+                pseudonym=pseud_b, collection_id=collection_id,
+                envelope=env_b))
         outcomes = self.server.handle_search_each(requests, self.now)
         return pack_fields(*[
             wire.error_response(exc) if exc is not None
@@ -273,9 +276,9 @@ class SServerEndpoint(Endpoint):
 
     def _op_search_multi(self, fields: list[bytes]) -> bytes:
         pseud_b, cids_b, env_b = self._expect(fields, 3)
-        reply = self.server.handle_search_multi(
+        reply = self.server.handle_search_merge(
             Point.from_bytes(pseud_b, self._curve),
-            list(unpack_fields(cids_b)), Envelope.from_bytes(env_b),
+            list(unpack_fields(cids_b)), Envelope.from_bytes(env_b), {},
             self.now)
         return reply.to_bytes()
 
@@ -597,26 +600,18 @@ class EntityEndpoint(Endpoint):
 
 # -- binding helpers ---------------------------------------------------------
 def bind_sserver(transport, server: StorageServer, hibc_node=None,
-                 root_public: Point | None = None, engine=None,
+                 root_public: Point | None = None,
                  federation_key: bytes | None = None):
     """Ensure an :class:`SServerEndpoint` serves ``server.address``.
 
     When the transport already routes the address to another process
     (static socket routes), nothing is bound locally and None returns.
 
-    ``engine`` (a :class:`repro.crypto.engine.CryptoEngine`) installs a
-    process-parallel crypto pool on the served S-server; the batched
-    search handlers then fan their pairing work across its workers.
-    Passing None leaves the server's existing engine (or the
-    ``HCPP_CRYPTO_WORKERS`` process default) in force.
-
     ``federation_key`` marks the server as a federation shard: the
     internal OP_SEARCH_SHARD/OP_SEARCH_MERGE legs are accepted when
     their tags verify under it (None — the default — rejects them all).
     """
     endpoint = transport.endpoint_at(server.address)
-    if engine is not None:
-        server.engine = engine
     if endpoint is None:
         if transport.has_route(server.address):
             return None

@@ -173,8 +173,7 @@ class Federation:
 def _make_shard(server: StorageServer, name: str) -> StorageServer:
     return StorageServer(
         name, server.params, server.identity_key,
-        HmacDrbg(b"hcpp-shard/" + name.encode()),
-        engine=server.engine)
+        HmacDrbg(b"hcpp-shard/" + name.encode()))
 
 
 def _shard_name(server: StorageServer, index: int) -> str:
@@ -187,8 +186,8 @@ def shard_servers(server: StorageServer, n_shards: int) -> list:
     Names and addresses derive from the logical server's
     (``hospital-a`` → ``hospital-a-shard-0`` …), deterministically, so a
     restarted deployment rebuilds the identical ring.  Each shard gets
-    its own domain-separated DRBG; the identity key and crypto engine
-    are shared with the logical server.
+    its own domain-separated DRBG; the identity key is shared with the
+    logical server.
     """
     if n_shards < 1:
         raise ParameterError("a federation needs at least one shard")
@@ -407,7 +406,7 @@ def _finish_drain(fed: Federation, from_names: "list[str]") -> None:
 
 
 def bind_federated_sserver(transport, server: StorageServer, n_shards: int,
-                           *, hibc_node=None, root_public=None, engine=None,
+                           *, hibc_node=None, root_public=None,
                            data_dir: str | None = None,
                            snapshot_every: int = 0, fault_policy=None,
                            vnodes: int = DEFAULT_VNODES,
@@ -443,8 +442,6 @@ def bind_federated_sserver(transport, server: StorageServer, n_shards: int,
     if transport.endpoint_at(server.address) is not None:
         raise TransportError("address %r is already served"
                              % server.address)
-    if engine is not None:
-        server.engine = engine
     manifest = None
     if data_dir is not None:
         manifest = _check_manifest(

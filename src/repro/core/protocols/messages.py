@@ -99,7 +99,11 @@ class Envelope:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Envelope":
         label, payload, ts, tag = unpack_fields(data, expected=4)
-        return cls(label=label.decode(), payload=payload,
+        try:
+            label_text = label.decode()
+        except UnicodeDecodeError:
+            raise ParameterError("envelope label is not UTF-8") from None
+        return cls(label=label_text, payload=payload,
                    timestamp=int.from_bytes(ts, "big") / 1000.0, tag=tag)
 
 

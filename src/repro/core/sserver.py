@@ -24,41 +24,25 @@ experiments mine this log.
 
 from __future__ import annotations
 
-import hashlib
 import threading
-import warnings
 from dataclasses import dataclass, field, replace
 
-from repro.crypto import engine as engine_mod
 from repro.crypto.broadcast import BroadcastCiphertext
 from repro.crypto.ec import Point
 from repro.crypto.ibe import IbeCiphertext, IdentityKeyPair
 from repro.crypto.hashes import h1_identity
 from repro.crypto.modes import AuthenticatedCipher
-from repro.crypto.nike import SHARED_KEY_SPEC, shared_key_from_points
+from repro.crypto.nike import shared_key_from_points
 from repro.crypto.params import DomainParams
 from repro.crypto.peks import MultiKeywordPeks, MultiKeywordTag, PeksTrapdoor
 from repro.crypto.rng import HmacDrbg
-from repro.sse.index import (SEARCH_BLOB_SPEC, SecureIndex, Trapdoor,
-                             load_index_cached)
+from repro.sse.index import SecureIndex, Trapdoor, load_index_cached
 from repro.sse.multiuser import WrappedTrapdoor, unwrap_trapdoor
 from repro.core.protocols.messages import (Envelope, ReplayGuard,
                                            open_envelope, pack_fields, seal,
                                            unpack_fields)
 from repro.core.shard import collection_id_for_tag
 from repro.exceptions import ParameterError, ReproError, StorageError
-
-
-def _warn_max_workers(max_workers, method: str) -> None:
-    """PR 1's search thread pool is gone (measured 0.95x vs serial —
-    GIL-bound); parallelism now comes from the process-parallel crypto
-    engine.  Passing the dead parameter gets a warning, not silence."""
-    if max_workers is not None:
-        warnings.warn(
-            "StorageServer.%s(max_workers=...) is deprecated and has no "
-            "effect; configure a crypto engine (HCPP_CRYPTO_WORKERS, "
-            "--workers, or server.engine) instead" % method,
-            DeprecationWarning, stacklevel=3)
 
 
 @dataclass
@@ -108,11 +92,16 @@ class StoredMhi:
 
 @dataclass(frozen=True)
 class SearchRequest:
-    """One client search request, as queued for the batched handler."""
+    """One OP_SEARCH_BATCH entry as it arrived: the encoded TP_p, the
+    collection id Λ and the serialized envelope.
 
-    pseudonym: Point
+    The batched handler decodes each request inside its own outcome, so
+    a bad encoding fails only its own entry.
+    """
+
+    pseudonym: bytes
     collection_id: bytes
-    envelope: Envelope
+    envelope: bytes
 
 
 @dataclass(frozen=True)
@@ -146,18 +135,12 @@ class StorageServer:
     """An HCPP S-server instance."""
 
     def __init__(self, name: str, params: DomainParams,
-                 identity_key: IdentityKeyPair, rng: HmacDrbg,
-                 engine: "engine_mod.CryptoEngine | None" = None) -> None:
+                 identity_key: IdentityKeyPair, rng: HmacDrbg) -> None:
         self.name = name
         self.address = "sserver://" + name
         self.params = params
         self.identity_key = identity_key         # (PK_S, Γ_S)
         self._rng = rng
-        #: Process-parallel crypto engine for the batched search paths.
-        #: None falls back to the HCPP_CRYPTO_WORKERS default at call time
-        #: (see repro.crypto.engine.resolve); results are byte-identical
-        #: either way.
-        self.engine = engine
         self._collections: dict[bytes, StoredCollection] = {}
         self._mhi: list[StoredMhi] = []
         self._guard = ReplayGuard()
@@ -256,19 +239,21 @@ class StorageServer:
         payload = open_envelope(key, envelope, now, self._guard,
                                 expected_label=("phi-retrieve",
                                                 "crossdomain/retrieve"))
-        results = self._run_trapdoors(observed_client, collection_id,
+        results = self._run_trapdoors(observed_client,
+                                      self._collection(collection_id),
                                       unpack_fields(payload), now)
         return seal(key, "phi-results", pack_fields(*results), now)
 
-    def _run_trapdoors(self, observed_client: bytes, collection_id: bytes,
+    def _run_trapdoors(self, observed_client: bytes,
+                       collection: StoredCollection,
                        raw_trapdoors: list[bytes], now: float) -> list[bytes]:
         """SEARCH each trapdoor against one collection; fid‖ct results."""
-        collection = self._collection(collection_id)
         index = collection.resolve_index()
         results: list[bytes] = []
         for raw in raw_trapdoors:
             trapdoor = Trapdoor.from_bytes(raw)
-            self._observe("search", observed_client, collection_id,
+            self._observe("search", observed_client,
+                          collection.collection_id,
                           trapdoor.address.to_bytes(16, "big"), now)
             for fid in index.search(trapdoor):
                 ciphertext = collection.files.get(fid)
@@ -277,69 +262,31 @@ class StorageServer:
                 results.append(fid + ciphertext)
         return results
 
-    def handle_search_batch(self, requests: "list[SearchRequest]",
-                            now: float,
-                            max_workers: int | None = None) -> list[Envelope]:
-        """Serve many independent search requests, in request order.
-
-        Equivalent to calling :meth:`handle_search` once per request —
-        the returned envelopes are byte-identical (sealing is
-        deterministic given key, payload, and ``now``).
-
-        PR 1's thread pool is gone: BENCH_crypto.json measured it at
-        0.95x *slower* than serial (pairings are pure CPython bytecode,
-        so threads just add GIL contention), so the default is a plain
-        serial loop.  When a crypto engine is configured (``--workers``,
-        ``HCPP_CRYPTO_WORKERS``, or the ``engine`` attribute) the SOK
-        session-key derivations — one pairing per request, the dominant
-        batch cost — fan out across worker *processes*; envelope
-        open/search/seal then runs serially in the parent, in request
-        order, so :class:`ReplayGuard` bookkeeping and the reply bytes
-        are exactly the serial ones.
-
-        .. deprecated:: PR 7
-           ``max_workers`` (the PR 1 thread pool size) has no effect;
-           configure a crypto engine instead.  Passing it warns.
-        """
-        _warn_max_workers(max_workers, "handle_search_batch")
-        eng = engine_mod.resolve(self.engine)
-        if eng is not None and len(requests) > 1:
-            keys = eng.map(SHARED_KEY_SPEC,
-                           [(self.identity_key.private, req.pseudonym)
-                            for req in requests])
-        else:
-            keys = [self.session_key(req.pseudonym) for req in requests]
-        return [self._search_with_key(key, req.pseudonym.to_bytes(),
-                                      req.collection_id, req.envelope, now)
-                for req, key in zip(requests, keys)]
-
     def handle_search_each(self, requests: "list[SearchRequest]",
                            now: float) -> "list[tuple[Envelope | None, Exception | None]]":
         """Per-request outcomes for the batched wire op (OP_SEARCH_BATCH).
 
-        Same key-derivation fan-out as :meth:`handle_search_batch`, but
-        each request resolves independently to ``(reply, None)`` or
-        ``(None, exception)`` instead of the whole batch failing at the
-        first error.  Independence is what lets the federation router
-        splice per-shard sub-batches back together with responses
-        byte-identical to one server handling the whole batch: entry k's
-        outcome depends only on entry k, never on its neighbours.
+        Each request resolves independently to ``(reply, None)`` or
+        ``(None, exception)``: decoding its pseudonym and envelope,
+        deriving its SOK key and the search itself all happen inside its
+        own outcome, and a reply is byte-identical to
+        :meth:`handle_search` on the same request.  Independence is what
+        lets the federation router splice per-shard sub-batches back
+        together with responses byte-identical to one server handling
+        the whole batch: entry k's outcome depends only on entry k,
+        never on its neighbours.
         """
-        eng = engine_mod.resolve(self.engine)
-        if eng is not None and len(requests) > 1:
-            keys = eng.map(SHARED_KEY_SPEC,
-                           [(self.identity_key.private, req.pseudonym)
-                            for req in requests])
-        else:
-            keys = [self.session_key(req.pseudonym) for req in requests]
         outcomes: list[tuple[Envelope | None, Exception | None]] = []
-        for req, key in zip(requests, keys):
+        for req in requests:
             try:
-                outcomes.append((self._search_with_key(
-                    key, req.pseudonym.to_bytes(), req.collection_id,
-                    req.envelope, now), None))
+                reply = self.handle_search(
+                    Point.from_bytes(req.pseudonym, self.params.curve),
+                    req.collection_id, Envelope.from_bytes(req.envelope),
+                    now)
             except ReproError as exc:
                 outcomes.append((None, exc))
+            else:
+                outcomes.append((reply, None))
         return outcomes
 
     def handle_search_shard(self, pseudonym: Point,
@@ -361,107 +308,45 @@ class StorageServer:
                                 expected_label="phi-retrieve")
         raw_trapdoors = unpack_fields(payload)
         observed = pseudonym.to_bytes()
-        return [self._run_trapdoors(observed, cid, raw_trapdoors, now)
-                for cid in collection_ids]
+        collections = [self._collection(cid) for cid in collection_ids]
+        return [self._run_trapdoors(observed, collection, raw_trapdoors, now)
+                for collection in collections]
 
     def handle_search_merge(self, pseudonym: Point,
                             collection_ids: list[bytes], envelope: Envelope,
                             foreign_chunks: "dict[bytes, list[bytes]]",
                             now: float) -> Envelope:
-        """The guarded merge leg of a scattered multi-collection search.
-
-        Opens the envelope exactly like :meth:`handle_search_multi`
-        (consuming the replay window), searches the locally-owned
-        collections, and splices the foreign shards' pre-computed result
-        chunks in at their positions in the caller's collection order —
-        so the sealed reply is byte-identical to one server that held
-        every collection.  The router sends this leg *last*: if any
-        foreign shard fails, the guard here was never consumed and the
-        client's retry replays cleanly.
-        """
-        key = self.session_key(pseudonym)
-        payload = open_envelope(key, envelope, now, self._guard,
-                                expected_label="phi-retrieve")
-        raw_trapdoors = unpack_fields(payload)
-        observed = pseudonym.to_bytes()
-        chunks = []
-        for cid in collection_ids:
-            foreign = foreign_chunks.get(cid)
-            if foreign is not None:
-                chunks.append(foreign)
-            else:
-                chunks.append(self._run_trapdoors(observed, cid,
-                                                  raw_trapdoors, now))
-        results = [item for chunk in chunks for item in chunk]
-        return seal(key, "phi-results", pack_fields(*results), now)
-
-    def handle_search_multi(self, pseudonym: Point,
-                            collection_ids: list[bytes], envelope: Envelope,
-                            now: float,
-                            max_workers: int | None = None) -> Envelope:
         """One trapdoor set searched across several collections.
 
         Single envelope, single HMAC/replay check; the same trapdoors run
         against every listed collection and the results concatenate in
-        the caller's collection order — so the reply is byte-identical to
-        a serial loop over the ids.
+        the caller's collection order.  Every locally held collection is
+        looked up before any is searched, so an unknown id fails the
+        request before a search is logged.
 
-        Serial by default (the PR 1 thread pool measured slower than
-        serial).  With a crypto engine and every collection blob-backed,
-        each collection's index walk runs in a worker process — workers
-        deserialize through their own index caches — while observation
-        logging and fid → ciphertext resolution stay in the parent, in
-        the same order as the serial loop.
-
-        .. deprecated:: PR 7
-           ``max_workers`` (the PR 1 thread pool size) has no effect;
-           configure a crypto engine instead.  Passing it warns.
+        A single server serves OP_SEARCH_MULTI with no ``foreign_chunks``.
+        As the guarded merge leg of a scattered search, the foreign
+        shards' pre-computed result chunks splice in at their positions
+        in the caller's order — so the sealed reply is byte-identical to
+        one server that held every collection.  The router sends this
+        leg *last*: if any foreign shard fails, the guard here was never
+        consumed and the client's retry replays cleanly.
         """
-        _warn_max_workers(max_workers, "handle_search_multi")
         key = self.session_key(pseudonym)
         payload = open_envelope(key, envelope, now, self._guard,
                                 expected_label="phi-retrieve")
         raw_trapdoors = unpack_fields(payload)
         observed = pseudonym.to_bytes()
-        eng = engine_mod.resolve(self.engine)
-        collections = [self._collection(cid) for cid in collection_ids]
-        if (eng is not None and len(collections) > 1
-                and all(c.index_blob is not None for c in collections)):
-            per_collection = eng.map(
-                SEARCH_BLOB_SPEC,
-                [(c.index_blob, raw_trapdoors) for c in collections])
-            chunks = [self._resolve_fids(c, raw_trapdoors, fid_lists,
-                                         observed, now)
-                      for c, fid_lists in zip(collections, per_collection)]
-        else:
-            chunks = [self._run_trapdoors(observed, c.collection_id,
-                                          raw_trapdoors, now)
-                      for c in collections]
-        results = [item for chunk in chunks for item in chunk]
-        return seal(key, "phi-results", pack_fields(*results), now)
-
-    def _resolve_fids(self, collection: StoredCollection,
-                      raw_trapdoors: list[bytes],
-                      fid_lists: list[list[bytes]], observed: bytes,
-                      now: float) -> list[bytes]:
-        """Parent-side tail of an engine-run collection search.
-
-        Replays exactly what :meth:`_run_trapdoors` does after the index
-        walk: per-trapdoor observation logging (the observations log is
-        parent state — workers cannot append to it) and fid → ciphertext
-        resolution, in the same order.
-        """
+        local = {cid: self._collection(cid) for cid in collection_ids
+                 if cid not in foreign_chunks}
         results: list[bytes] = []
-        for raw, fids in zip(raw_trapdoors, fid_lists):
-            trapdoor = Trapdoor.from_bytes(raw)
-            self._observe("search", observed, collection.collection_id,
-                          trapdoor.address.to_bytes(16, "big"), now)
-            for fid in fids:
-                ciphertext = collection.files.get(fid)
-                if ciphertext is None:
-                    raise StorageError("index references a missing file")
-                results.append(fid + ciphertext)
-        return results
+        for cid in collection_ids:
+            chunk = foreign_chunks.get(cid)
+            if chunk is None:
+                chunk = self._run_trapdoors(observed, local[cid],
+                                            raw_trapdoors, now)
+            results.extend(chunk)
+        return seal(key, "phi-results", pack_fields(*results), now)
 
     # -- family / P-device retrieval (§IV.E.1) ---------------------------------
     def handle_get_broadcast(self, pseudonym: Point, collection_id: bytes,
@@ -546,13 +431,9 @@ class StorageServer:
                       expected_label="mhi-search")
         candidates = [entry for entry in self._mhi
                       if entry.role_identity == role_identity]
-        # One pairing per stored tag: the batch test fans out across the
-        # crypto engine's workers when one is configured, serial otherwise
-        # — the match set is identical either way.
-        flags = MultiKeywordPeks.test_batch([e.tag for e in candidates],
-                                            trapdoor, engine=self.engine)
-        matches = [entry.ciphertext
-                   for entry, hit in zip(candidates, flags) if hit]
+        peks = MultiKeywordPeks(self.params, pkg_public)
+        matches = [entry.ciphertext for entry in candidates
+                   if peks.test(entry.tag, trapdoor)]
         self._observe("mhi-search", role_public.to_bytes(), b"",
                       role_identity.encode(), now)
         reply = seal(key, "mhi-results",

@@ -21,20 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto import fpbackend, mathutil
+from repro.crypto import mathutil
 from repro.exceptions import ParameterError
 
 
 @dataclass(frozen=True)
 class Fp:
-    """An element of the prime field F_p.
-
-    All arithmetic routes through the active
-    :mod:`repro.crypto.fpbackend` backend — pure python by default, gmpy2
-    when installed — so the same element API transparently benefits from
-    GMP limb arithmetic; values stored on the element are always python
-    ints regardless of backend.
-    """
+    """An element of the prime field F_p."""
 
     value: int
     p: int
@@ -49,20 +42,17 @@ class Fp:
 
     def __add__(self, other: "Fp") -> "Fp":
         self._check(other)
-        backend = fpbackend.active_backend()
-        return Fp(backend.add(self.value, other.value, self.p), self.p)
+        return Fp(self.value + other.value, self.p)
 
     def __sub__(self, other: "Fp") -> "Fp":
         self._check(other)
-        backend = fpbackend.active_backend()
-        return Fp(backend.sub(self.value, other.value, self.p), self.p)
+        return Fp(self.value - other.value, self.p)
 
     def __mul__(self, other: "Fp | int") -> "Fp":
-        backend = fpbackend.active_backend()
         if isinstance(other, int):
-            return Fp(backend.mul(self.value, other, self.p), self.p)
+            return Fp(self.value * other, self.p)
         self._check(other)
-        return Fp(backend.mul(self.value, other.value, self.p), self.p)
+        return Fp(self.value * other.value, self.p)
 
     __rmul__ = __mul__
 
@@ -70,11 +60,10 @@ class Fp:
         return Fp(-self.value % self.p, self.p)
 
     def __pow__(self, exponent: int) -> "Fp":
-        backend = fpbackend.active_backend()
         if exponent < 0:
-            return Fp(backend.powmod(backend.inv(self.value, self.p),
-                                     -exponent, self.p), self.p)
-        return Fp(backend.powmod(self.value, exponent, self.p), self.p)
+            return Fp(pow(mathutil.inv_mod(self.value, self.p), -exponent,
+                          self.p), self.p)
+        return Fp(pow(self.value, exponent, self.p), self.p)
 
     def inverse(self) -> "Fp":
         """Multiplicative inverse; raises if the element is zero."""

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto import engine as engine_mod
 from repro.crypto.ec import Point
 from repro.crypto.hashes import h1_identity, h_g2_to_bytes
 from repro.crypto.mathutil import xor_bytes
@@ -192,28 +191,6 @@ class HibcNode:
                         q_chain=self.q_chain + (self.own_q,),
                         own_secret=self.params.random_scalar(rng))
 
-    def extract_children(self, identities: "list[str]", rng: HmacDrbg,
-                         engine: "engine_mod.CryptoEngine | None" = None
-                         ) -> "list[HibcNode]":
-        """``[extract_child(id, rng) for id in identities]`` — parallel.
-
-        A state A-server provisioning a hospital's worth of level-3
-        entities does one hash-to-curve and one scalar multiplication
-        per child.  The children's own secrets are drawn from ``rng``
-        serially *up front* (the point arithmetic consumes no
-        randomness, so the stream order — hence every secret — matches
-        the serial loop exactly); workers then compute the K/ψ points.
-        """
-        secrets = [self.params.random_scalar(rng) for _ in identities]
-        q_chain = self.q_chain + (self.own_q,)
-        items = [(self.params, self.root_public, self.id_tuple, self.psi,
-                  q_chain, self.own_secret, identity, secret)
-                 for identity, secret in zip(identities, secrets)]
-        eng = engine_mod.resolve(engine)
-        if eng is not None:
-            return eng.map(_EXTRACT_CHILD_SPEC, items)
-        return [_extract_child_task(item) for item in items]
-
     # -- encryption ---------------------------------------------------------
     def decrypt(self, ciphertext: HibeCiphertext) -> bytes:
         """BasicHIDE decryption with ψ_j and the ancestor Q-chain.
@@ -245,23 +222,6 @@ class HibcNode:
         p_m = _message_point(self.params, self.id_tuple, message)
         return HidsSignature(sig=self.psi + p_m * self.own_secret,
                              q_values=self.q_chain + (self.own_q,))
-
-
-_EXTRACT_CHILD_SPEC = "repro.crypto.hibc:_extract_child_task"
-
-
-def _extract_child_task(item: tuple) -> HibcNode:
-    """Per-child share of :meth:`HibcNode.extract_children` — engine task.
-
-    The child's secret is pre-drawn by the parent (rng stays serial);
-    this computes only the deterministic point arithmetic."""
-    (params, root_public, parent_tuple, psi, q_chain, own_secret,
-     identity, child_secret) = item
-    child_tuple = parent_tuple + (identity,)
-    k_child = id_tuple_hash(params, child_tuple, len(child_tuple))
-    return HibcNode(params=params, root_public=root_public,
-                    id_tuple=child_tuple, psi=psi + k_child * own_secret,
-                    q_chain=q_chain, own_secret=child_secret)
 
 
 def _message_point(params: DomainParams, id_tuple: tuple[str, ...],

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto import engine as engine_mod
 from repro.crypto.ec import Point
 from repro.crypto.hashes import h1_identity, h_g2_to_bytes, h_to_scalar
 from repro.crypto.mathutil import xor_bytes
@@ -105,39 +104,10 @@ class PrivateKeyGenerator:
         private = public * self._master_secret
         return IdentityKeyPair(identity=identity, public=public, private=private)
 
-    def extract_batch(self, identities: "list[str]",
-                      engine: "engine_mod.CryptoEngine | None" = None
-                      ) -> list[IdentityKeyPair]:
-        """``[extract(id) for id in identities]`` — engine-parallel.
-
-        Role-key issuance (A-server handing a physician one key per role
-        window) is a hash-to-curve plus a full scalar multiplication per
-        identity; worker processes split the batch.  The master secret
-        rides in the task tuples — they never leave this machine's own
-        pool processes (fork/spawn children, not the network).
-        """
-        items = [(self.params, self._master_secret, identity)
-                 for identity in identities]
-        eng = engine_mod.resolve(engine)
-        if eng is not None:
-            return eng.map(_EXTRACT_SPEC, items)
-        return [_extract_task(item) for item in items]
-
     @property
     def master_secret(self) -> int:
         """Exposed for the HIBC construction; never sent on the wire."""
         return self._master_secret
-
-
-_EXTRACT_SPEC = "repro.crypto.ibe:_extract_task"
-
-
-def _extract_task(item: tuple) -> IdentityKeyPair:
-    """Per-identity share of :meth:`PrivateKeyGenerator.extract_batch`."""
-    params, master_secret, identity = item
-    public = h1_identity(params, identity)
-    return IdentityKeyPair(identity=identity, public=public,
-                           private=public * master_secret)
 
 
 class BasicIdent:

@@ -23,47 +23,30 @@ Acceleration (all output-equivalent to the textbook formulas):
   slot inside the batched product leaves r' unchanged).
 * Verification still shares one final exponentiation across its two
   Miller loops (the ``pairing_product`` trick).
-* :func:`batch_verify` checks n signatures with a *single* final
-  exponentiation via a randomized small-exponents product test — see its
-  docstring for the soundness argument.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.crypto import engine as engine_mod
 from repro.crypto.ec import Point
 from repro.crypto.fields import Fp2Element
 from repro.crypto.hashes import h1_identity, h_to_scalar
 from repro.crypto.ibe import IdentityKeyPair
-from repro.crypto.pairing import (final_exponentiation, prepared,
-                                  _pow_unitary)
+from repro.crypto.pairing import final_exponentiation, prepared
 from repro.crypto.params import DomainParams
 from repro.crypto.rng import HmacDrbg
 from repro.exceptions import SignatureError
 
-__all__ = ["IbsSignature", "sign", "verify", "batch_verify"]
-
-_BATCH_DELTA_BITS = 64
+__all__ = ["IbsSignature", "sign", "verify"]
 
 
 @dataclass(frozen=True)
 class IbsSignature:
-    """A Hess signature (u ∈ G1, v ∈ Z*_q).
-
-    ``r_value`` is the sign-time commitment r = ê(PK, P)^k.  It is **not**
-    part of the wire format (``to_bytes`` ignores it; deserialized
-    signatures carry ``None``) — it is a local hint that lets
-    :func:`batch_verify` replace per-signature final exponentiations with
-    one randomized product check.
-    """
+    """A Hess signature (u ∈ G1, v ∈ Z*_q)."""
 
     u: Point
     v: int
-    r_value: Fp2Element | None = field(default=None, compare=False,
-                                       repr=False)
 
     def size_bytes(self) -> int:
         """Wire size (communication-cost experiments)."""
@@ -91,7 +74,7 @@ def sign(params: DomainParams, key: IdentityKeyPair, message: bytes,
     r = prepared(params.generator).pair(key.public) ** k
     v = h_to_scalar(params, b"hess-ibs", message, r.to_bytes())
     u = key.private * v + key.public * k
-    return IbsSignature(u=u, v=v, r_value=r)
+    return IbsSignature(u=u, v=v)
 
 
 def _recompute_r(params: DomainParams, pkg_public: Point, pk: Point,
@@ -128,131 +111,3 @@ def verify_or_raise(params: DomainParams, pkg_public: Point, identity: str,
         raise SignatureError("IBS verification failed for identity %r"
                              % identity)
 
-
-def _batch_deltas(params: DomainParams, count: int, seed: bytes,
-                  rng: HmacDrbg | None) -> list[int]:
-    """Nonzero 64-bit batching exponents δ_j.
-
-    Drawn from ``rng`` when supplied; otherwise derived by hashing the
-    whole batch (Fiat–Shamir style), which keeps the API deterministic
-    while still fixing the δ's only *after* the signatures are."""
-    deltas = []
-    for j in range(count):
-        if rng is not None:
-            deltas.append(rng.randint(1, (1 << _BATCH_DELTA_BITS) - 1))
-        else:
-            digest = hashlib.sha256(b"ibs-batch-delta:"
-                                    + j.to_bytes(4, "big") + seed).digest()
-            deltas.append((int.from_bytes(digest[:8], "big")
-                           % ((1 << _BATCH_DELTA_BITS) - 1)) + 1)
-    return deltas
-
-
-#: Task spec for :func:`repro.crypto.engine.CryptoEngine.map`.
-_BATCH_VERIFY_SPEC = "repro.crypto.ibs:_batch_verify_task"
-
-
-def _batch_verify_task(item: tuple) -> "tuple[bool, Fp2Element | None, Fp2Element | None]":
-    """Per-signature share of :func:`batch_verify` — engine task.
-
-    Returns ``(ok, term, rhs_factor)``: ``ok`` False when the signature
-    is outright invalid (infinity u or hash-binding failure); ``term``
-    the δ-weighted Miller product and ``rhs_factor`` the matching
-    ``r^δ`` for *hinted* signatures, both None on the recomputation path
-    (where the hash binding alone is full verification).  Pure function
-    of the item tuple — safe to run in any worker process; the prepared
-    registries it consults are per-process caches warmed on first use.
-    """
-    params, pkg_public, identity, message, signature, delta = item
-    if signature.u.is_infinity:
-        return (False, None, None)
-    pk = h1_identity(params, identity)
-    r_val = signature.r_value
-    hinted = r_val is not None and r_val.p == params.p
-    if not hinted:
-        r_val = _recompute_r(params, pkg_public, pk, signature)
-    if h_to_scalar(params, b"hess-ibs", message,
-                   r_val.to_bytes()) != signature.v:
-        return (False, None, None)
-    if not hinted:
-        return (True, None, None)  # recomputed r already proves the equation
-    term = prepared(params.generator).miller(signature.u * delta)
-    neg_vpk = pk * (-signature.v * delta % params.r)
-    if not neg_vpk.is_infinity:
-        term = term * prepared(pkg_public).miller(neg_vpk)
-    return (True, term, _pow_unitary(r_val, delta))
-
-
-def batch_verify(params: DomainParams, pkg_public: Point,
-                 items: list[tuple[str, bytes, IbsSignature]],
-                 rng: HmacDrbg | None = None,
-                 engine: "engine_mod.CryptoEngine | None" = None) -> bool:
-    """Verify n Hess signatures with one shared final exponentiation.
-
-    ``items`` is a list of ``(identity, message, signature)`` triples; the
-    result equals ``all(verify(...))`` for the same triples.  When an
-    ``engine`` is supplied (or a process default is configured — see
-    :func:`repro.crypto.engine.resolve`) the per-signature work fans out
-    across worker processes; the accept/reject answer is identical.
-
-    Two-part check, per the small-exponents batching technique:
-
-    1. **Hash binding** — each signature's v must equal H(m ‖ r), where r
-       is the signature's local ``r_value`` hint when present (signatures
-       produced by :func:`sign` in this process carry it) or is recomputed
-       via :func:`_recompute_r` otherwise.  A recomputed r satisfies the
-       pairing equation by construction, so for those signatures this step
-       alone is full verification.
-    2. **Randomized pairing product** — for the hinted signatures the
-       claimed relation ê(u_j, P)·ê(PK_j, P_pub)^(−v_j) = r_j still needs
-       checking.  With random nonzero 64-bit exponents δ_j the single test
-
-           ∏_j [ê(δ_j·u_j, P) · ê(−δ_j·v_j·PK_j, P_pub)] == ∏_j r_j^{δ_j}
-
-       (one ``pairing_product``-style shared final exponentiation on the
-       left; the r_j are unitary so the right side costs conjugation-free
-       64-bit exponentiations) accepts a batch containing any false
-       equation with probability at most 2^-64: the quotients
-       lhs_j/r_j lie in the order-r cyclotomic subgroup, and a nontrivial
-       ∏ q_j^{δ_j} = 1 constrains each δ_j to one residue class mod the
-       order of q_j once the others are fixed.
-    """
-    if not items:
-        return True
-    if pkg_public.is_infinity:
-        return False
-
-    seed_hasher = hashlib.sha256()
-    for identity, message, signature in items:
-        seed_hasher.update(identity.encode() + b"\x00" + message
-                           + signature.to_bytes())
-    # δ's are fixed *before* any per-item work, in the same rng order as
-    # ever — the engine fan-out below therefore cannot perturb them.
-    deltas = _batch_deltas(params, len(items), seed_hasher.digest(), rng)
-
-    tasks = [(params, pkg_public, identity, message, signature, delta)
-             for (identity, message, signature), delta in zip(items, deltas)]
-    eng = engine_mod.resolve(engine)
-    if eng is not None:
-        shares = eng.map(_BATCH_VERIFY_SPEC, tasks)
-        if any(not ok for ok, _, _ in shares):
-            return False
-    else:
-        shares = []
-        for task in tasks:
-            share = _batch_verify_task(task)
-            if not share[0]:
-                return False  # serial path keeps its early exit
-            shares.append(share)
-
-    product_acc: Fp2Element | None = None
-    rhs = Fp2Element.one(params.p)
-    for _, term, rhs_factor in shares:
-        if term is None:
-            continue  # recomputed r already satisfies the pairing equation
-        product_acc = term if product_acc is None else product_acc * term
-        rhs = rhs * rhs_factor
-    if product_acc is None:
-        return True  # every signature took the recomputation path
-    lhs = final_exponentiation(product_acc, params.curve)
-    return lhs == rhs

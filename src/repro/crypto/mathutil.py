@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Iterable
 
-from repro.crypto import fpbackend
 from repro.exceptions import ParameterError
 
 # Small primes used for cheap trial division before Miller-Rabin.
@@ -32,10 +31,14 @@ def inv_mod(a: int, m: int) -> int:
     """Return the inverse of ``a`` modulo ``m``.
 
     Raises :class:`ParameterError` when the inverse does not exist.
-    Routed through the active F_p backend (pure python, or gmpy2 when
-    installed — see :mod:`repro.crypto.fpbackend`).
     """
-    return fpbackend.active_backend().inv(a, m)
+    a %= m
+    if a == 0:
+        raise ParameterError("0 has no inverse modulo %d" % m)
+    try:
+        return pow(a, -1, m)
+    except ValueError as exc:
+        raise ParameterError("%d has no inverse modulo %d" % (a, m)) from exc
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -91,7 +94,7 @@ def sqrt_mod(a: int, p: int) -> int:
     if not is_quadratic_residue(a, p):
         raise ParameterError("%d is not a quadratic residue mod p" % a)
     if p % 4 == 3:
-        return fpbackend.active_backend().sqrt(a, p)
+        return pow(a, (p + 1) // 4, p)
     # Tonelli-Shanks for p ≡ 1 (mod 4).
     q, s = p - 1, 0
     while q % 2 == 0:

@@ -49,14 +49,3 @@ def shared_key(my_key: IdentityKeyPair, their_public: Point) -> bytes:
     """Convenience wrapper taking a full :class:`IdentityKeyPair`."""
     return shared_key_from_points(my_key.private, their_public)
 
-
-#: Task spec for :func:`repro.crypto.engine.CryptoEngine.map` — the
-#: S-server's batched search derives one SOK key per request, which is
-#: the dominant pairing cost of the batch.
-SHARED_KEY_SPEC = "repro.crypto.nike:_shared_key_task"
-
-
-def _shared_key_task(item: "tuple[Point, Point]") -> bytes:
-    """Engine task: ``item = (long_lived, ephemeral)``."""
-    long_lived, ephemeral = item
-    return shared_key_from_points(long_lived, ephemeral)

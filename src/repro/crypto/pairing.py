@@ -34,7 +34,6 @@ from collections import OrderedDict
 from repro.crypto import mathutil
 from repro.crypto.ec import CurveParams, Point
 from repro.crypto.fields import Fp2Element
-from repro.crypto.fpbackend import wrap as _wrap
 from repro.exceptions import ParameterError
 
 __all__ = ["tate_pairing", "miller_loop", "final_exponentiation",
@@ -49,19 +48,15 @@ def miller_loop(P: Point, Q: Point) -> Fp2Element:
     E(F_p).  The result still needs :func:`final_exponentiation`.
     """
     curve = P.curve
-    # Lift the loop's working values into the active F_p backend's native
-    # representation (identity on pure python, mpz under gmpy2) so every
-    # `* ... % p` below runs on the fast limbs; results convert back to
-    # python ints at the single exit point.
-    p = _wrap(curve.p)
+    p = curve.p
     r = curve.r
-    xq, yq = _wrap(Q.x), _wrap(Q.y)
+    xq, yq = Q.x, Q.y
     # ψ(Q) = (−xq, i·yq): line numerators below are specialised to this form.
     xpsi = -xq % p
 
     # Accumulator point T in affine coords over F_p; Miller value f in F_p².
-    tx, ty = _wrap(P.x), _wrap(P.y)
-    fa, fb = _wrap(1), _wrap(0)  # f = fa + fb·i
+    tx, ty = P.x, P.y
+    fa, fb = 1, 0  # f = fa + fb·i
 
     def line_eval(lx: int, ly: int, slope: int) -> tuple[int, int]:
         """Numerator of the line through (lx, ly) with given slope, at ψ(Q).
@@ -72,7 +67,7 @@ def miller_loop(P: Point, Q: Point) -> Fp2Element:
         return ((slope * (lx - xpsi) - ly) % p, yq)
 
     bits = bin(r)[3:]  # skip the leading 1: standard left-to-right Miller loop
-    px, py = _wrap(P.x), _wrap(P.y)
+    px, py = P.x, P.y
     for bit in bits:
         # f <- f² · l_{T,T}(ψQ)
         # F_p² squaring of (fa + fb·i):
@@ -108,7 +103,7 @@ def miller_loop(P: Point, Q: Point) -> Fp2Element:
             nx = (slope * slope - tx - px) % p
             ny = (slope * (tx - nx) - ty) % p
             tx, ty = nx, ny
-    return Fp2Element(int(fa), int(fb), curve.p)
+    return Fp2Element(fa, fb, p)
 
 
 def _pow_unitary(base: Fp2Element, exponent: int) -> Fp2Element:
@@ -253,12 +248,9 @@ class PreparedPairing:
 
     def miller(self, Q: Point) -> Fp2Element:
         """Replay the loop against ψ(Q) — equals ``miller_loop(P, Q)``."""
-        # Same backend lift as miller_loop: the replay is pure F_p
-        # multiply-reduce work, so gmpy2 limbs (when active) carry the
-        # whole loop; exit converts back to python ints.
-        p = _wrap(self.curve.p)
-        xq, yq = _wrap(Q.x), _wrap(Q.y)
-        fa, fb = _wrap(1), _wrap(0)
+        p = self.curve.p
+        xq, yq = Q.x, Q.y
+        fa, fb = 1, 0
         sq_line, line = self._SQ_LINE, self._LINE
         for kind, a_coef, b_coef in self._ops:
             if kind == sq_line:
@@ -273,7 +265,7 @@ class PreparedPairing:
             else:  # _SQ_BREAK
                 fa, fb = (fa + fb) * (fa - fb) % p, 2 * fa * fb % p
                 break
-        return Fp2Element(int(fa), int(fb), self.curve.p)
+        return Fp2Element(fa, fb, p)
 
     def pair(self, Q: Point) -> Fp2Element:
         """ê(P, Q) — identical value to ``tate_pairing(P, Q)``."""

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto import engine as engine_mod
 from repro.crypto.ec import Point
 from repro.crypto.hashes import (h1_identity, h2_keyword_point,
                                  h2_keyword_scalar, h3_pairing_to_bytes)
@@ -187,22 +186,6 @@ class RolePeks:
         return constant_time_equal(
             h3_pairing_to_bytes(value, _TOKEN_BYTES), tag.B)
 
-    @staticmethod
-    def test_batch(tags: "list[PeksTag]", trapdoor: PeksTrapdoor,
-                   engine: "engine_mod.CryptoEngine | None" = None
-                   ) -> list[bool]:
-        """``[test(tag, trapdoor) for tag in tags]`` — engine-parallel.
-
-        One pairing per tag is the whole cost; with an engine the tags
-        fan out across worker processes (each worker prepares the
-        trapdoor's Miller loop once via its registry).
-        """
-        items = [(trapdoor, tag) for tag in tags]
-        eng = engine_mod.resolve(engine)
-        if eng is not None:
-            return eng.map(_ROLE_TEST_SPEC, items)
-        return [_role_test_task(item) for item in items]
-
 
 @dataclass(frozen=True)
 class MultiKeywordTag:
@@ -276,48 +259,8 @@ class MultiKeywordPeks:
                                     _TOKEN_BYTES)
         return token in tag.tokens
 
-    @staticmethod
-    def test_batch(tags: "list[MultiKeywordTag]", trapdoor: PeksTrapdoor,
-                   engine: "engine_mod.CryptoEngine | None" = None
-                   ) -> list[bool]:
-        """``[test(tag, trapdoor) for tag in tags]`` — engine-parallel.
-
-        The S-server's MHI scan tests one trapdoor against every stored
-        tag; each test is one pairing, so the batch is embarrassingly
-        parallel and byte-identical to the serial loop.
-        """
-        items = [(trapdoor, tag) for tag in tags]
-        eng = engine_mod.resolve(engine)
-        if eng is not None:
-            return eng.map(_MULTI_TEST_SPEC, items)
-        return [_multi_test_task(item) for item in items]
-
     def test_all(self, tag: MultiKeywordTag,
                  trapdoors: list[PeksTrapdoor]) -> bool:
         """Conjunctive test: every trapdoor keyword must appear in the tag."""
         return all(self.test(tag, td) for td in trapdoors)
 
-
-# ---------------------------------------------------------------------------
-# Engine task functions: module-level, pure functions of their (picklable)
-# item tuples, addressed by dotted spec so the engine never imports upward.
-# ---------------------------------------------------------------------------
-
-_ROLE_TEST_SPEC = "repro.crypto.peks:_role_test_task"
-_MULTI_TEST_SPEC = "repro.crypto.peks:_multi_test_task"
-
-
-def _role_test_task(item: "tuple[PeksTrapdoor, PeksTag]") -> bool:
-    """Single-keyword PEKS test — engine task for RolePeks/BDOP tags."""
-    trapdoor, tag = item
-    value = prepared(trapdoor.point).pair(tag.A)
-    return constant_time_equal(
-        h3_pairing_to_bytes(value, _TOKEN_BYTES), tag.B)
-
-
-def _multi_test_task(item: "tuple[PeksTrapdoor, MultiKeywordTag]") -> bool:
-    """Disjunctive PECK test — engine task for multi-keyword tags."""
-    trapdoor, tag = item
-    token = h3_pairing_to_bytes(prepared(trapdoor.point).pair(tag.A),
-                                _TOKEN_BYTES)
-    return token in tag.tokens

@@ -368,26 +368,3 @@ def clear_index_cache() -> None:
         index_cache_stats["hits"] = 0
         index_cache_stats["misses"] = 0
         index_cache_stats["collapsed"] = 0
-
-
-# ---------------------------------------------------------------------------
-# Engine task: the S-server's multi-collection search ships each blob-backed
-# collection to a crypto-engine worker, which deserializes through its own
-# per-process index cache and walks every trapdoor.  Defined here (not in
-# the engine) so the crypto layer never has to import sse — the engine
-# resolves the dotted spec with importlib inside the worker.
-# ---------------------------------------------------------------------------
-
-#: Task spec for :func:`repro.crypto.engine.CryptoEngine.map`.
-SEARCH_BLOB_SPEC = "repro.sse.index:_search_blob_task"
-
-
-def _search_blob_task(item: "tuple[bytes, list[bytes]]") -> list[list[bytes]]:
-    """``(index_blob, raw_trapdoors)`` → one fid list per trapdoor.
-
-    Pure function of the blob bytes: results equal
-    ``SecureIndex.from_bytes(blob).search(td)`` per trapdoor, in order.
-    """
-    blob, raw_trapdoors = item
-    index = load_index_cached(blob)
-    return [index.search(Trapdoor.from_bytes(raw)) for raw in raw_trapdoors]

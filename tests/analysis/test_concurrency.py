@@ -212,6 +212,7 @@ def test_unlocked_pool_lifecycle_call_flags(rule):
 
 
 def test_swap_under_lock_then_close_local_is_clean(rule):
-    # The engine's close(): detach under the lock, tear down the local
-    # reference outside it — no self-attribute mutates unlocked.
+    # The router's update_ring(): detach the pool under the lock, tear
+    # down the local reference outside it — no self-attribute mutates
+    # unlocked.
     assert not analyze_source(POOL_SWAPPED, rule)

@@ -153,6 +153,35 @@ def test_since_head_smoke(cli, capsys):
     assert status == 0, out
 
 
+def test_since_agrees_with_full_run(cli, capsys, monkeypatch):
+    # Analyzed alone, durable.py resolves rekey() uniquely and reports
+    # two secret-flow findings the whole-tree call graph never produces;
+    # --since must judge a changed file against the whole tree.
+    monkeypatch.setattr(cli, "_changed_since",
+                        lambda rev, targets: ["src/repro/store/durable.py"])
+    status = cli.main(["--since", "HEAD", "src/repro/store"])
+    out = capsys.readouterr().out
+    assert status == 0, out
+    assert "0 finding(s), 1 suppressed" in out
+
+
+def test_since_reports_a_violation_in_a_changed_file(cli, capsys,
+                                                      monkeypatch):
+    path = os.path.join(REPO_ROOT, "src", "repro", "_lintcheck_fixture.py")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(VIOLATIONS["secret-flow"])
+    rel = os.path.relpath(path, REPO_ROOT).replace(os.sep, "/")
+    monkeypatch.setattr(cli, "_changed_since", lambda rev, targets: [rel])
+    try:
+        status = cli.main(["--since", "HEAD", "--rules", "secret-flow"])
+        out = capsys.readouterr().out
+    finally:
+        os.unlink(path)
+    assert status == 1, out
+    assert rel in out
+    assert "1 finding(s), 0 suppressed" in out
+
+
 def test_cache_round_trip(cli, capsys, tmp_path):
     cache = str(tmp_path / "cache.json")
     assert cli.main(["--cache", cache, "--rules", "layering"]) == 0

@@ -104,47 +104,6 @@ def test_longest_prefix_contract_selection():
         assert contract.why, "every contract must explain itself"
 
 
-def test_engine_may_import_crypto_and_stdlib(rule):
-    assert not analyze_source(
-        "import multiprocessing\n"
-        "import importlib\n"
-        "from repro.crypto import pairing\n"
-        "from repro.crypto.precompute import DEFAULT_WINDOW\n"
-        "from repro.exceptions import ParameterError\n",
-        rule, path="src/repro/crypto/engine.py")
-
-
-def test_engine_may_not_import_upward(rule):
-    # The whole point of dotted task specs: the pool never imports the
-    # layers whose work it runs.
-    for upward in ("from repro.sse.index import SecureIndex\n",
-                   "from repro.core.sserver import StorageServer\n"):
-        findings = analyze_source(upward, rule,
-                                  path="src/repro/crypto/engine.py")
-        assert findings and "repro.crypto.engine" in findings[0].message
-
-
-def test_net_may_not_import_the_engine(rule):
-    assert analyze_source(
-        "from repro.crypto.engine import CryptoEngine\n", rule,
-        path="src/repro/net/transport/newmod.py")
-
-
-def test_protocols_may_not_pool_directly(rule):
-    findings = analyze_source(
-        "from repro.crypto.engine import configure\n", rule,
-        path="src/repro/core/protocols/newflow.py")
-    assert findings and "repro.crypto.engine" in findings[0].message
-
-
-def test_sserver_may_import_the_engine(rule):
-    # Served surfaces hold the engine= keyword; repro.core (outside the
-    # protocols subpackage) carries no forbidden-engine clause.
-    assert not analyze_source(
-        "from repro.crypto import engine as engine_mod\n", rule,
-        path="src/repro/core/sserver.py")
-
-
 def test_shard_ring_is_pure_placement_math(rule):
     # The ring sits below dispatch: even wire is off-limits.
     assert analyze_source(

@@ -266,6 +266,39 @@ class TestFrameParity:
             else:
                 wire.parse_response(entry)  # status OK
 
+        # Entry 1's pseudonym is the point at infinity (no SOK key),
+        # entry 2's does not decode, and entry 3's envelope label is not
+        # UTF-8: each fails alone, so the shards consume exactly the
+        # replay tags one server would, and an identical retry answers
+        # identically too.
+        def bad_entries(batch):
+            opcode, fields = wire.parse_frame(batch)
+            for i, pseud_b in ((1, b"\x00"), (2, b"\x04\x01\x02")):
+                _, cid, env_b = unpack_fields(fields[i], expected=3)
+                fields[i] = pack_fields(pseud_b, cid, env_b)
+            pseud_b, cid, env_b = unpack_fields(fields[3], expected=3)
+            _, payload, ts, tag = unpack_fields(env_b, expected=4)
+            fields[3] = pack_fields(pseud_b, cid,
+                                    pack_fields(b"\xff", payload, ts, tag))
+            return wire.make_frame(opcode, *fields)
+
+        frame = bad_entries(_batch_frame(single_sys, cids, ["allergies"],
+                                         single_net.now))
+        fed_frame = bad_entries(_batch_frame(fed_sys, cids, ["allergies"],
+                                             fed_net.now))
+        assert frame == fed_frame
+        single_resp = single.handle_frame(frame)
+        assert single_resp == router.handle_frame(fed_frame)
+        entries = unpack_fields(wire.parse_response(single_resp))
+        assert len(entries) == 5
+        for i, entry in enumerate(entries):
+            if i in (1, 2, 3):
+                with pytest.raises(ParameterError):
+                    wire.parse_response(entry)
+            else:
+                wire.parse_response(entry)  # status OK
+        assert single.handle_frame(frame) == router.handle_frame(fed_frame)
+
     def test_replay_rejected_through_router(self):
         fed_sys, fed_net, cids = _stored_deployment(2)
         router = fed_net.endpoint_at(fed_sys.sserver.address)

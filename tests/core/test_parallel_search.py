@@ -1,13 +1,15 @@
-"""Parallel S-server serving: byte-identical to the serial handlers."""
-
-import warnings
+"""Batched and multi-collection S-server serving: byte-identical to the
+serial handlers, with per-request outcomes for the batch."""
 
 import pytest
 
-from repro.core.protocols.messages import (open_envelope, pack_fields, seal,
-                                           unpack_fields)
-from repro.core.sserver import SearchRequest, StorageServer
-from repro.exceptions import ReplayError
+from repro.core import dispatch, wire
+from repro.core.protocols.messages import (Envelope, open_envelope,
+                                           pack_fields, seal, unpack_fields)
+from repro.core.sserver import SearchRequest
+from repro.crypto.ec import Point
+from repro.exceptions import ParameterError, ReplayError, StorageError
+from repro.net.transport import LoopbackTransport
 from repro.sse.index import clear_index_cache, index_cache_stats
 
 KEYWORDS = ["allergies", "cardiology", "warfarin"]
@@ -22,13 +24,27 @@ def _request(system, keyword, now):
     payload = pack_fields(patient.trapdoor(keyword).to_bytes())
     envelope = seal(nu, "phi-retrieve", payload, now)
     return SearchRequest(
-        pseudonym=pseudonym.public,
+        pseudonym=pseudonym.public.to_bytes(),
         collection_id=patient.collection_ids[server.address],
-        envelope=envelope), nu
+        envelope=envelope.to_bytes()), nu
+
+
+def _serial(server, req, now):
+    """``handle_search`` on the decoded form of one batch request."""
+    return server.handle_search(
+        Point.from_bytes(req.pseudonym, server.params.curve),
+        req.collection_id, Envelope.from_bytes(req.envelope), now)
+
+
+def _replies(outcomes):
+    """The replies of a batch that must have succeeded entry by entry."""
+    assert all(exc is None for _, exc in outcomes), outcomes
+    return [reply for reply, _ in outcomes]
 
 
 class TestSearchBatch:
     def test_batch_matches_serial_byte_for_byte(self, stored_system):
+        server = stored_system.sserver
         now = 500.0
         requests, keys = [], []
         for i, kw in enumerate(KEYWORDS * 2):
@@ -36,18 +52,16 @@ class TestSearchBatch:
             requests.append(req)
             keys.append(nu)
 
-        serial = [stored_system.sserver.handle_search(
-            r.pseudonym, r.collection_id, r.envelope, now) for r in requests]
+        serial = [_serial(server, r, now) for r in requests]
 
-        # Re-seal identical envelopes for the parallel pass (the serial one
-        # consumed the replay tags); fresh pseudonyms, same plaintext.
+        # Re-seal identical envelopes for the batched pass (the serial
+        # one consumed the replay tags); fresh pseudonyms, same plaintext.
         requests2, keys2 = [], []
         for i, kw in enumerate(KEYWORDS * 2):
             req, nu = _request(stored_system, kw, now + 1 + i * 0.001)
             requests2.append(req)
             keys2.append(nu)
-        batched = stored_system.sserver.handle_search_batch(requests2,
-                                                            now + 1)
+        batched = _replies(server.handle_search_each(requests2, now + 1))
 
         assert len(serial) == len(batched)
         for nu1, env1, nu2, env2 in zip(keys, serial, keys2, batched):
@@ -56,52 +70,45 @@ class TestSearchBatch:
             assert files1 == files2
 
     def test_empty_and_singleton_batches(self, stored_system):
-        assert stored_system.sserver.handle_search_batch([], 600.0) == []
+        assert stored_system.sserver.handle_search_each([], 600.0) == []
         req, nu = _request(stored_system, "allergies", 600.5)
-        replies = stored_system.sserver.handle_search_batch([req], 600.5)
+        replies = _replies(
+            stored_system.sserver.handle_search_each([req], 600.5))
         assert len(replies) == 1
         assert unpack_fields(open_envelope(nu, replies[0], 600.5))
 
-    def test_replayed_envelope_fails_in_exactly_one_worker(self,
-                                                          stored_system):
-        req, _ = _request(stored_system, "allergies", 700.0)
-        duplicated = [req, req, req]
-        with pytest.raises(ReplayError):
-            stored_system.sserver.handle_search_batch(duplicated, 700.0)
+    def test_replayed_envelope_fails_per_entry(self, stored_system):
+        req, nu = _request(stored_system, "allergies", 700.0)
+        outcomes = stored_system.sserver.handle_search_each(
+            [req, req, req], 700.0)
+        reply, exc = outcomes[0]
+        assert exc is None
+        assert unpack_fields(open_envelope(nu, reply, 700.0))
+        for reply, exc in outcomes[1:]:
+            assert reply is None
+            assert isinstance(exc, ReplayError)
 
-
-class TestMaxWorkersDeprecation:
-    """``max_workers`` stopped doing anything when PR 6 replaced the
-    GIL-bound search thread pool with the crypto engine; passing it now
-    earns a DeprecationWarning, never silence."""
-
-    def test_batch_warns_and_still_serves(self, stored_system):
-        req, nu = _request(stored_system, "allergies", 990.0)
-        with pytest.warns(DeprecationWarning, match="max_workers"):
-            replies = stored_system.sserver.handle_search_batch(
-                [req], 990.0, max_workers=4)
-        assert len(replies) == 1
-        assert unpack_fields(open_envelope(nu, replies[0], 990.0))
-
-    def test_multi_warns_and_still_serves(self, stored_system):
+    def test_undecodable_entries_fail_only_themselves(self, stored_system):
+        # b"\x00" decodes to the point at infinity (no SOK key exists);
+        # a truncated encoding does not decode at all; a label that is
+        # not UTF-8 does not decode either.  Each fails alone.
         server = stored_system.sserver
-        patient = stored_system.patient
-        cid = patient.collection_ids[server.address]
-        pseudonym = patient.fresh_pseudonym()
-        nu = patient.session_key_with(server.identity_key.public, pseudonym)
-        envelope = seal(nu, "phi-retrieve",
-                        pack_fields(patient.trapdoor("allergies").to_bytes()),
-                        991.0)
-        with pytest.warns(DeprecationWarning, match="max_workers"):
-            reply = server.handle_search_multi(pseudonym.public, [cid],
-                                               envelope, 991.0,
-                                               max_workers=2)
-        assert unpack_fields(open_envelope(nu, reply, 991.0))
-
-    def test_silent_when_not_passed(self, stored_system):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert stored_system.sserver.handle_search_batch([], 992.0) == []
+        good, nu = _request(stored_system, "allergies", 710.0)
+        _, payload, ts, tag = unpack_fields(good.envelope, expected=4)
+        bad = [SearchRequest(pseudonym=pseud, collection_id=good.collection_id,
+                             envelope=env_b)
+               for pseud, env_b in (
+                   (b"\x00", good.envelope),
+                   (b"\x04\x01\x02", good.envelope),
+                   (good.pseudonym, pack_fields(b"\xff", payload, ts, tag)))]
+        outcomes = server.handle_search_each([bad[0], good, bad[1], bad[2]],
+                                             710.0)
+        for i in (0, 2, 3):
+            assert outcomes[i][0] is None
+            assert isinstance(outcomes[i][1], ParameterError)
+        reply, exc = outcomes[1]
+        assert exc is None
+        assert unpack_fields(open_envelope(nu, reply, 710.0))
 
 
 class TestSearchMulti:
@@ -129,9 +136,9 @@ class TestSearchMulti:
         pseudonym = patient.fresh_pseudonym()
         nu = patient.session_key_with(server.identity_key.public, pseudonym)
         payload = pack_fields(patient.trapdoor("cardiology").to_bytes())
-        reply = server.handle_search_multi(
+        reply = server.handle_search_merge(
             pseudonym.public, [cid, cid],
-            seal(nu, "phi-retrieve", payload, 800.0), 800.0)
+            seal(nu, "phi-retrieve", payload, 800.0), {}, 800.0)
         results = unpack_fields(open_envelope(nu, reply, 800.0))
 
         single = server.handle_search(
@@ -148,9 +155,9 @@ class TestSearchMulti:
         nu = patient.session_key_with(server.identity_key.public, pseudonym)
         payload = pack_fields(patient.trapdoor("warfarin").to_bytes())
 
-        multi = server.handle_search_multi(
+        multi = server.handle_search_merge(
             pseudonym.public, [cid],
-            seal(nu, "phi-retrieve", payload, 810.0), 810.0)
+            seal(nu, "phi-retrieve", payload, 810.0), {}, 810.0)
         plain = server.handle_search(
             pseudonym.public, cid,
             seal(nu, "phi-retrieve", payload, 811.0), 811.0)
@@ -168,11 +175,43 @@ class TestSearchMulti:
         envelope = seal(nu, "phi-retrieve",
                         pack_fields(patient.trapdoor("allergies").to_bytes()),
                         820.0)
-        server.handle_search_multi(pseudonym.public, [cid, cid], envelope,
-                                   820.0)
+        server.handle_search_merge(pseudonym.public, [cid, cid], envelope,
+                                   {}, 820.0)
         with pytest.raises(ReplayError):
-            server.handle_search_multi(pseudonym.public, [cid], envelope,
-                                       820.0)
+            server.handle_search_merge(pseudonym.public, [cid], envelope,
+                                       {}, 820.0)
+
+    def test_op_search_multi_looks_up_every_collection_first(self,
+                                                             stored_system):
+        """OP_SEARCH_MULTI naming an unknown collection fails before any
+        collection is searched: nothing is observed, nothing returned."""
+        server = stored_system.sserver
+        patient = stored_system.patient
+        first_id, second_id = self._second_collection(stored_system)
+        net = LoopbackTransport()
+        endpoint = dispatch.bind_sserver(net, server)
+        pseudonym = patient.fresh_pseudonym()
+        nu = patient.session_key_with(server.identity_key.public, pseudonym)
+
+        def frame(cids, now):
+            envelope = seal(nu, "phi-retrieve", pack_fields(
+                patient.trapdoor("allergies").to_bytes()), now)
+            return wire.make_frame(wire.OP_SEARCH_MULTI,
+                                   pseudonym.public.to_bytes(),
+                                   pack_fields(*cids), envelope.to_bytes())
+
+        before = len(server.observations)
+        response = endpoint.handle_frame(
+            frame([first_id, b"\x00" * 16, second_id], net.now))
+        with pytest.raises(StorageError, match="unknown collection"):
+            wire.parse_response(response)
+        assert len(server.observations) == before
+
+        reply = wire.parse_response(endpoint.handle_frame(
+            frame([first_id, second_id], net.now + 1)))
+        results = unpack_fields(open_envelope(
+            nu, Envelope.from_bytes(reply), net.now + 1))
+        assert len(results) >= 2  # "allergies" hits in both collections
 
 
 class TestSerializedCollections:

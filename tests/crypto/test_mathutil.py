@@ -1,12 +1,19 @@
 """Unit and property tests for the number-theory utilities."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto import mathutil
+from repro.crypto.fields import Fp
+from repro.crypto.params import test_params as _test_params
 from repro.exceptions import ParameterError
 
 PRIMES = [3, 7, 11, 101, 65537, (1 << 61) - 1]
+
+#: The pairing prime of the test parameters, where the field laws below
+#: must hold for every operand, edge values 0, 1 and p − 1 included.
+P = _test_params().curve.p
+operand = st.integers(min_value=0, max_value=P - 1)
 
 
 class TestInvMod:
@@ -31,6 +38,44 @@ class TestInvMod:
     def test_property_mersenne(self, a):
         p = (1 << 61) - 1
         assert a * mathutil.inv_mod(a, p) % p == 1
+
+
+class TestPrimeFieldLaws:
+    @settings(max_examples=100, deadline=None)
+    @given(a=operand, b=operand)
+    @example(a=0, b=P - 1)
+    @example(a=P - 1, b=P - 1)
+    def test_ring_laws(self, a, b):
+        x, y = Fp(a, P), Fp(b, P)
+        assert x + y == y + x
+        assert (x - y).value == (P - (y - x).value) % P
+        assert x * y == y * x
+        assert (x - y) + y == x
+
+    @settings(max_examples=50, deadline=None)
+    @given(a=st.integers(min_value=1, max_value=P - 1))
+    @example(a=1)
+    @example(a=P - 1)
+    def test_inverse_law(self, a):
+        assert a * mathutil.inv_mod(a, P) % P == 1
+        assert Fp(a, P) * Fp(a, P).inverse() == Fp(1, P)
+        assert Fp(a, P) ** -1 == Fp(a, P).inverse()
+
+    def test_inverse_of_zero_and_p_rejected(self):
+        for a in (0, P):  # p ≡ 0 (mod p)
+            with pytest.raises(ParameterError):
+                mathutil.inv_mod(a, P)
+            with pytest.raises(ParameterError):
+                Fp(a, P).inverse()
+
+    @settings(max_examples=50, deadline=None)
+    @given(a=operand)
+    @example(a=0)
+    @example(a=1)
+    def test_sqrt_round_trip(self, a):
+        square = a * a % P
+        root = mathutil.sqrt_mod(square, P)
+        assert root * root % P == square
 
 
 class TestEgcd:

@@ -1,10 +1,10 @@
-"""Pickle round-trips for everything the crypto engine ships to workers.
+"""Pickle round-trips for the crypto substrate's value objects.
 
-The worker pool moves state across process boundaries two ways: the
-initializer config (points to warm up) and the per-item task tuples
-(params objects, keys, signatures, tags).  Every object on those paths
-must survive ``pickle.dumps``/``loads`` with *behavior* intact — equal
-results from the reconstructed object, not merely equal field values.
+Params, points, pairing values, prepared pairings, fixed-base tables,
+keys, signatures, PEKS tags and SSE trapdoors must all survive
+``pickle.dumps``/``loads`` with *behavior* intact — equal results from
+the reconstructed object, not merely equal field values — so they can
+cross a process boundary (a worker process, a cache on disk) unharmed.
 """
 
 from __future__ import annotations
@@ -85,9 +85,7 @@ def test_ibs_signature_round_trip():
     sig = ibs.sign(PARAMS, key, b"record", rng)
     clone = _rt(sig)
     assert clone == sig
-    # r_value is compare=False; the engine relies on the hint surviving
-    # the trip so workers keep the fast batched-verify path.
-    assert clone.r_value == sig.r_value
+    assert clone.to_bytes() == sig.to_bytes()
     assert ibs.verify(PARAMS, PKG.public_key, "signer", b"record", clone)
 
 

@@ -7,7 +7,7 @@ Usage::
     python tools/hcpplint.py --rules layering src/repro/core/protocols
     python tools/hcpplint.py --format json
     python tools/hcpplint.py --format sarif        # SARIF 2.1.0 document
-    python tools/hcpplint.py --since origin/main   # only changed files
+    python tools/hcpplint.py --since origin/main   # report changed files
     python tools/hcpplint.py --no-baseline         # show suppressed too
 
 Exit codes: 0 clean, 1 findings (or stale baseline entries), 2 usage /
@@ -25,6 +25,7 @@ cache (useful for CI cache restores).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -60,10 +61,11 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--no-baseline", action="store_true",
                         help="ignore the baseline; report everything")
     parser.add_argument("--since", default=None, metavar="REV",
-                        help="analyze only files changed since the git "
-                             "revision — a fast pre-push check; the "
-                             "full-target run stays authoritative for "
-                             "cross-file rules")
+                        help="report only files changed since the git "
+                             "revision; the whole tree is still analyzed "
+                             "(and cached), so cross-file rules see the "
+                             "complete call graph and agree with a full "
+                             "run")
     parser.add_argument("--cache", default=None, metavar="PATH",
                         help="findings cache file (default: %s at the "
                              "repo root)" % DEFAULT_CACHE)
@@ -139,6 +141,7 @@ def main(argv: list[str] | None = None) -> int:
             print("hcpplint: no such target %r" % target, file=sys.stderr)
             return 2
 
+    changed = None
     if args.since is not None:
         changed = _changed_since(args.since, targets)
         if changed is None:
@@ -149,7 +152,10 @@ def main(argv: list[str] | None = None) -> int:
             print("hcpplint: no files changed since %s — clean"
                   % args.since)
             return 0
-        targets = changed
+        # Analyze the whole tree: a cross-file rule run over the changed
+        # files alone sees a truncated call graph and can resolve calls
+        # the full run finds ambiguous.
+        targets = DEFAULT_TARGETS + targets
 
     cache = None
     if not args.no_cache:
@@ -158,6 +164,14 @@ def main(argv: list[str] | None = None) -> int:
 
     analyzer = Analyzer(REPO_ROOT, rules=rules, baseline=baseline)
     report = analyzer.run(targets, cache=cache)
+    if changed is not None:
+        keep = set(changed)
+        report = dataclasses.replace(
+            report,
+            findings=[f for f in report.findings if f.path in keep],
+            suppressed=[f for f in report.suppressed if f.path in keep],
+            unused_baseline=[entry for entry in report.unused_baseline
+                             if entry["path"] in keep])
 
     if args.fmt == "sarif":
         print(render_sarif(report, rules if rules is not None
