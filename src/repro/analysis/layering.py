@@ -1,9 +1,8 @@
 """layering: declarative per-package import/call contracts.
 
-The codebase is a strict layer cake, and every PR so far has defended
-one slice of it by hand (PR 2 shipped ``tools/check_layering.py`` for
-the protocols/transport boundary).  This pass generalizes that one-off
-into a contract table:
+The codebase is a strict layer cake.  This pass states it as a
+contract table (run just this pass with
+``python tools/hcpplint.py --rules layering``):
 
 * ``repro.crypto`` is the bottom — it imports nothing above itself
   (stdlib, ``repro.crypto``, ``repro.exceptions`` only), so the whole
@@ -37,8 +36,7 @@ from typing import Iterable
 
 from repro.analysis.framework import Finding, Module, Rule, register
 
-# Remote-party surface (kept from tools/check_layering.py, PR 2):
-# anything the other end of a wire would serve.
+# Remote-party surface: anything the other end of a wire would serve.
 FORBIDDEN_METHOD_PREFIXES = ("handle_",)
 FORBIDDEN_METHODS = frozenset({
     "authenticate_emergency",   # A-server, §IV.E.2 steps 1-2

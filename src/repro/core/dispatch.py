@@ -7,7 +7,8 @@ handlers.  Protocol code never touches a remote party's methods
 directly; it builds a frame, hands it to a transport, and parses the
 response.  That boundary is what lets the same protocol run unchanged
 over in-process dispatch, the discrete-event simulator, or real TCP
-between OS processes (and is enforced by ``tools/check_layering.py``).
+between OS processes (and is enforced by
+``python tools/hcpplint.py --rules layering``).
 
 Server-side :class:`~repro.exceptions.ReproError` exceptions serialize
 into error responses and re-raise client-side as the same class.

@@ -255,13 +255,13 @@ def open_internal_frame(key: bytes | None, opcode: bytes,
 # -- correlation ids (multiplexed transports) -------------------------------
 # A multiplexing transport pipelines many frames over one connection and
 # must match each response to its caller.  The envelope is versioned by
-# its leading byte: id 0 encodes as the *identity* (the exact bytes every
-# blocking backend puts on the wire, so single-in-flight traffic stays
-# byte-identical across all four backends and a legacy peer needs no
-# upgrade), and nonzero ids prepend ``CORR_MAGIC ‖ u32-BE id``.  The
-# magic starts with 0xff: a legacy frame starts with the u32-BE length
-# of its opcode field (a few dozen bytes) and a response starts with a
-# 0x00/0x01 status byte, so neither can ever collide with the prefix.
+# its leading byte: id 0 encodes as the *identity* (the plain frame, so a
+# peer that sends one length-prefixed frame and waits for the reply needs
+# no upgrade, and the server answers it in kind), and nonzero ids prepend
+# ``CORR_MAGIC ‖ u32-BE id``.  The magic starts with 0xff: a plain frame
+# starts with the u32-BE length of its opcode field (a few dozen bytes)
+# and a response starts with a 0x00/0x01 status byte, so neither can
+# ever collide with the prefix.
 CORR_MAGIC = b"\xffMX1"
 MAX_CORR_ID = 0xFFFFFFFF
 

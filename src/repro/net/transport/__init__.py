@@ -2,10 +2,10 @@
 
 Protocol functions accept either a :class:`~repro.net.sim.Network` (the
 historical signature) or any :class:`Transport`; :func:`as_transport`
-adapts the former.  All four backends speak the same frame bytes, so a
+adapts the former.  All three backends speak the same frame bytes, so a
 protocol run is byte-for-byte identical whether dispatch happens by
-function call, through the discrete-event simulator, over real TCP
-between OS processes, or pipelined on the asyncio multiplexed backend.
+function call, through the discrete-event simulator, or pipelined over
+real TCP between OS processes on the asyncio multiplexed backend.
 """
 
 from repro.net.transport.asyncnet import AsyncTransport
@@ -14,9 +14,7 @@ from repro.net.transport.faults import (FaultPlan, FaultPolicy, RetryPolicy,
                                         parse_fault_spec)
 from repro.net.transport.loopback import LoopbackTransport
 from repro.net.transport.simnet import SimTransport, as_transport
-from repro.net.transport.socketnet import SocketTransport, serve_endpoint
 
 __all__ = ["FrameRecord", "Transport", "AsyncTransport",
-           "LoopbackTransport", "SimTransport", "SocketTransport",
-           "as_transport", "serve_endpoint",
+           "LoopbackTransport", "SimTransport", "as_transport",
            "FaultPlan", "FaultPolicy", "RetryPolicy", "parse_fault_spec"]

@@ -1,7 +1,5 @@
 """Async multiplexed TCP transport: pipelined frames, one connection.
 
-Where :class:`~repro.net.transport.socketnet.SocketTransport` opens one
-TCP connection per frame and blocks for the reply,
 :class:`AsyncTransport` keeps a *persistent multiplexed connection* per
 destination and pipelines frames over it: every outbound frame carries a
 correlation id (:func:`repro.core.wire.wrap_corr`), responses come back
@@ -11,8 +9,18 @@ event loop runs on a private daemon thread and ``_carry_frame`` bridges
 into it with ``run_coroutine_threadsafe`` — so all six protocols run
 unchanged, and the :class:`~repro.net.transport.faults.RetryPolicy` /
 :class:`~repro.net.transport.faults.FaultPolicy` template methods in the
-transport base class compose exactly as they do on the blocking
-backends.
+transport base class compose exactly as they do on the in-process
+backends.  ``routes={address: (host, port)}`` or :meth:`add_route`
+points an address at an endpoint served by *another* process — the
+two-process smoke test in ``tools/socket_smoke.py`` drives that split.
+
+Frames travel with a 4-byte big-endian length prefix (64 MB cap).
+Refused/reset/timed-out connections surface as
+:class:`~repro.exceptions.TransientTransportError` (retryable), other
+socket errors as :class:`~repro.exceptions.TransportError`.  The server
+never answers a broken exchange with silence: an unreadable or oversize
+frame, and any exception escaping the frame handler, is logged and
+answered with a serialized error response.
 
 Flow control is explicit on both sides of the wire:
 
@@ -29,10 +37,11 @@ entry genuinely concurrent — the endpoints' reentrancy contract
 ``docs/architecture.md``) is exercised by every pipelined run.
 
 Wire compatibility: frame id 0 encodes as the identity bytes, so a
-legacy connection-per-frame :class:`SocketTransport` client can talk to
-an :class:`AsyncTransport` server (plain frame in, plain response out),
-and single-in-flight async traffic is byte-identical to the blocking
-backends — the four-backend parity suite pins this.
+plain length-prefixed client that sends one frame and waits for the
+reply can talk to an :class:`AsyncTransport` server (plain frame in,
+plain response out).  Billing counts the logical frame bytes only, so
+every protocol's accounting matches the in-process backends byte for
+byte — the transport parity suite pins this.
 
 ``close()`` drains gracefully: new connections are refused, in-flight
 frames get their responses (bounded by ``drain_timeout_s``), then the
@@ -43,22 +52,30 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import logging
 import socket
 import threading
 import time
 
 from repro.core import wire
 from repro.net.transport.base import FrameRecord, Transport
-from repro.net.transport.socketnet import (_LEN_BYTES, _MAX_FRAME,
-                                           _TRANSIENT_OS_ERRORS)
 from repro.exceptions import TransientTransportError, TransportError
 
 __all__ = ["AsyncTransport"]
 
+_LEN_BYTES = 4
+_MAX_FRAME = 64 * 1024 * 1024
 _DEFAULT_WINDOW = 64
 _DEFAULT_SERVER_WINDOW = 128
 _DEFAULT_HANDLER_THREADS = 8
 _DEFAULT_DRAIN_TIMEOUT_S = 5.0
+
+_LOG = logging.getLogger("repro.net.transport.asyncnet")
+
+# OSErrors that a healthy peer may heal from on its own.
+_TRANSIENT_OS_ERRORS = (ConnectionRefusedError, ConnectionResetError,
+                        ConnectionAbortedError, BrokenPipeError,
+                        TimeoutError)
 
 
 async def _read_blob(reader: asyncio.StreamReader) -> bytes | None:
@@ -330,8 +347,9 @@ class AsyncTransport(Transport):
                 try:
                     blob = await _read_blob(reader)
                 except (TransportError, OSError) as exc:
-                    # Mirror socketnet: never answer a broken exchange
-                    # with silence.
+                    # Never answer a broken exchange with silence.
+                    _LOG.warning("unreadable frame from %s: %s",
+                                 writer.get_extra_info("peername"), exc)
                     await self._write_reply(
                         writer, write_lock, 0, wire.error_response(
                             TransportError("server could not read frame: "
@@ -377,6 +395,8 @@ class AsyncTransport(Transport):
                     response = await asyncio.get_running_loop().run_in_executor(
                         self._executor, endpoint.handle_frame, frame)
                 except Exception as exc:
+                    _LOG.warning("frame handler raised for %s: %s",
+                                 writer.get_extra_info("peername"), exc)
                     response = wire.error_response(exc)
             await self._write_reply(writer, write_lock, frame_id, response)
         except OSError:  # pragma: no cover - client already gone
@@ -460,9 +480,11 @@ class AsyncTransport(Transport):
         sent_at = time.time()
         response, request_done = self._call(self._roundtrip(dst, frame))
         arrived_at = time.time()
-        # Direction-split stamps billing the logical frame bytes, exactly
-        # like socketnet — the length prefix and correlation-id envelope
-        # are stream framing, not protocol payload.
+        # Direction-split stamps, mirroring the simulator: the request
+        # occupies [sent_at, request_done], the reply departs no earlier
+        # than the request finished and lands at arrived_at.  Records
+        # bill the logical frame bytes — the length prefix and
+        # correlation-id envelope are stream framing, not payload.
         self._record(src, dst, label, len(frame), sent_at, request_done)
         if bill_reply:
             self._record(dst, src, reply_label, len(response),

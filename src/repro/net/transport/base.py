@@ -25,7 +25,8 @@ so fault-free runs stay byte-identical across backends.
 Backends: :class:`~repro.net.transport.loopback.LoopbackTransport`
 (direct in-process dispatch), :class:`~repro.net.transport.simnet
 .SimTransport` (the discrete-event simulator underneath), and
-:class:`~repro.net.transport.socketnet.SocketTransport` (real TCP).
+:class:`~repro.net.transport.asyncnet.AsyncTransport` (real TCP,
+pipelined over one multiplexed connection per destination).
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class Transport(abc.ABC):
     _fault_policy = None
 
     #: Whether concurrent ``request`` calls from multiple threads gain
-    #: real pipelining on this carrier.  Blocking backends serialize on
-    #: a connection (or a virtual clock), so scatter-gather callers —
+    #: real pipelining on this carrier.  In-process backends serialize
+    #: on a virtual clock, so scatter-gather callers —
     #: the federation router — fan out serially unless this is True
     #: (the multiplexed async backend sets it).
     CONCURRENT_REQUESTS = False
@@ -214,7 +215,7 @@ class Transport(abc.ABC):
 
         In-process backends let a crashed durable endpoint's
         ``TransientTransportError`` propagate up through the attempt;
-        socket/async servers serialize the same exception into an error
+        an async TCP server serializes the same exception into an error
         response.  Without this, remote refusals would dodge the retry
         loop and surface in protocol code instead.
         """

@@ -120,15 +120,6 @@ def test_cli_works_as_a_subprocess():
     assert json.loads(result.stdout)["clean"] is True
 
 
-def test_check_layering_shim_still_works():
-    result = subprocess.run(
-        [sys.executable, os.path.join(REPO_ROOT, "tools",
-                                      "check_layering.py")],
-        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "check_layering: OK" in result.stdout
-
-
 def test_sarif_format(cli, capsys):
     assert cli.main(["--format", "sarif"]) == 0
     document = json.loads(capsys.readouterr().out)

@@ -1,7 +1,9 @@
 """Shared fixtures: small pairing parameters, a PKG, and system builders.
 
 Session-scoped where the object is immutable (domain parameters, extracted
-keys); function-scoped where tests mutate state (full systems).
+keys); function-scoped where tests mutate state (full systems).  The
+transport helpers are plain functions (``from conftest import ...``) so
+suites can run one seeded deployment per backend and compare them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,28 @@ import pytest
 from repro.crypto.ibe import PrivateKeyGenerator
 from repro.crypto.params import test_params as _test_params
 from repro.crypto.rng import HmacDrbg
+from repro.net.transport import AsyncTransport, LoopbackTransport
+
+#: Every transport backend; parity and chaos suites run on each.
+BACKENDS = ["loopback", "sim", "async"]
+
+
+def make_transport(backend: str, system):
+    """A carrier for ``system``: in-process dispatch, the system's own
+    simulated network, or the async TCP mux on ephemeral ports."""
+    if backend == "loopback":
+        return LoopbackTransport()
+    if backend == "sim":
+        return system.network
+    if backend == "async":
+        return AsyncTransport()
+    raise ValueError("unknown transport backend %r" % backend)
+
+
+def close_transport(net) -> None:
+    """Release a real-socket carrier's ports and threads."""
+    if isinstance(net, AsyncTransport):
+        net.close()
 
 
 @pytest.fixture(scope="session")

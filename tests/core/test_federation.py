@@ -2,7 +2,7 @@
 
 The acceptance bar for the federation is *byte parity*: every protocol
 round through the :class:`~repro.core.router.RouterEndpoint` — any
-shard count, all four transports — must produce responses
+shard count, all three transports — must produce responses
 byte-identical to a single S-server holding all the data.  These tests
 drive the full protocol suite through federations of 1/2/4/8 shards
 and compare fingerprints (message counts, byte totals, plaintext)
@@ -34,25 +34,9 @@ from repro.core.system import build_system
 from repro.exceptions import (AuthenticationError, ParameterError,
                               RecoveryError, ReplayError, StorageError,
                               TransportError)
-from repro.net.transport import (AsyncTransport, LoopbackTransport,
-                                 SocketTransport)
+from repro.net.transport import LoopbackTransport
 
-BACKENDS = ["loopback", "sim", "socket", "async"]
-
-
-def _make_transport(backend: str, system):
-    if backend == "loopback":
-        return LoopbackTransport()
-    if backend == "sim":
-        return system.network
-    if backend == "async":
-        return AsyncTransport()
-    return SocketTransport()
-
-
-def _close(net) -> None:
-    if isinstance(net, (SocketTransport, AsyncTransport)):
-        net.close()
+from conftest import close_transport, make_transport
 
 
 def _fingerprint(stats, files=None):
@@ -69,7 +53,7 @@ def run_suite(backend: str, shards: int = 0) -> dict:
     ``shards>=1`` fronts it with a router over that many shards.
     """
     system = build_system(seed=b"federation-parity")
-    net = _make_transport(backend, system)
+    net = make_transport(backend, system)
     patient, server = system.patient, system.sserver
     try:
         if shards:
@@ -121,7 +105,7 @@ def run_suite(backend: str, shards: int = 0) -> dict:
         out["revoke"] = _fingerprint(rv.stats)
         return out
     finally:
-        _close(net)
+        close_transport(net)
 
 
 class TestSuiteParity:
@@ -135,7 +119,7 @@ class TestSuiteParity:
     def test_loopback_any_shard_count(self, baseline, shards):
         assert run_suite("loopback", shards=shards) == baseline
 
-    @pytest.mark.parametrize("backend", ["sim", "socket", "async"])
+    @pytest.mark.parametrize("backend", ["sim", "async"])
     def test_every_backend_two_shards(self, baseline, backend):
         assert run_suite(backend, shards=2) == baseline
 

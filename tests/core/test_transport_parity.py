@@ -1,14 +1,13 @@
-"""Transport parity: one protocol suite, four interchangeable carriers.
+"""Transport parity: one protocol suite, three interchangeable carriers.
 
 The same seeded deployment is driven through every protocol over the
-in-process loopback, the discrete-event simulator, real TCP sockets,
-and the asyncio multiplexed backend.  Because protocols serialize to
+in-process loopback, the discrete-event simulator, and the asyncio
+multiplexed backend over real TCP.  Because protocols serialize to
 wire frames before any transport touches them, the retrieved plaintext
 AND the per-protocol frame accounting (message count, byte total) must
-be identical across all four backends — the simulator measures exactly
-what a socket deployment would send, and single-in-flight async
-traffic (correlation id 0 encodes as the identity bytes) weighs the
-same as blocking-socket traffic.
+be identical across all three backends — the simulator measures exactly
+what a socket deployment would send, because the async backend bills
+the logical frame bytes, not its length prefix or correlation id.
 """
 
 from __future__ import annotations
@@ -26,25 +25,9 @@ from repro.core.protocols.privilege import (assign_privilege,
                                             revoke_privilege)
 from repro.core.protocols.retrieval import common_case_retrieval
 from repro.core.protocols.storage import private_phi_storage
-from repro.net.transport import (AsyncTransport, LoopbackTransport,
-                                 SimTransport, SocketTransport)
+from repro.net.transport import SimTransport
 
-BACKENDS = ["loopback", "sim", "socket", "async"]
-
-
-def _make_transport(backend: str, system):
-    if backend == "loopback":
-        return LoopbackTransport()
-    if backend == "sim":
-        return system.network
-    if backend == "async":
-        return AsyncTransport()
-    return SocketTransport()
-
-
-def _close(net) -> None:
-    if isinstance(net, (SocketTransport, AsyncTransport)):
-        net.close()
+from conftest import close_transport, make_transport
 
 
 def _fingerprint(stats, files=None):
@@ -58,7 +41,7 @@ def _fingerprint(stats, files=None):
 def run_suite(backend: str) -> dict:
     """Drive every protocol over one backend; return its fingerprints."""
     system = build_system(seed=b"transport-parity")
-    net = _make_transport(backend, system)
+    net = make_transport(backend, system)
     patient, server = system.patient, system.sserver
     try:
         patient.add_record(
@@ -108,7 +91,7 @@ def run_suite(backend: str) -> dict:
         out["revoke"] = _fingerprint(rv.stats)
         return out
     finally:
-        _close(net)
+        close_transport(net)
 
 
 def _crossdomain_federation(backend: str):
@@ -144,12 +127,8 @@ def _crossdomain_federation(backend: str):
         net.add_node(patient.address)
         net.add_node(server.address)
         net.connect(patient.address, server.address, LinkClass.INTERNET)
-    elif backend == "socket":
-        net = SocketTransport()
-    elif backend == "async":
-        net = AsyncTransport()
     else:
-        net = LoopbackTransport()
+        net = make_transport(backend, None)
 
     patient.add_record(Category.SURGERIES, ["surgeries"],
                        "Appendectomy in Florida.", server.address)
@@ -167,20 +146,20 @@ def run_crossdomain(backend: str) -> dict:
             federal.root_public, net, ["surgeries"])
         return _fingerprint(result.stats, result.files)
     finally:
-        _close(net)
+        close_transport(net)
 
 
 class TestTransportParity:
-    """All six protocols, four backends, byte-identical accounting."""
+    """All six protocols, three backends, byte-identical accounting."""
 
     def test_protocol_suite_identical_across_backends(self):
         baseline = run_suite("loopback")
-        for backend in ("sim", "socket", "async"):
+        for backend in ("sim", "async"):
             assert run_suite(backend) == baseline, backend
 
     def test_crossdomain_identical_across_backends(self):
         baseline = run_crossdomain("loopback")
-        for backend in ("sim", "socket", "async"):
+        for backend in ("sim", "async"):
             assert run_crossdomain(backend) == baseline, backend
 
     def test_pinned_message_counts_hold_on_loopback(self):
@@ -195,7 +174,7 @@ class TestTransportParity:
         assert out["mhi-retrieve"]["messages"] == 4
 
     def test_mhi_roundtrip_recovers_window(self):
-        out = run_suite("socket")
+        out = run_suite("async")
         assert out["mhi-days"] == ["2026-07-01"]
 
 

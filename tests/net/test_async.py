@@ -1,6 +1,7 @@
-"""The asyncio multiplexed backend: correlation ids, backpressure,
-graceful drain, legacy interop, and the dispatch reentrancy contract
-under genuinely concurrent handler entry."""
+"""The asyncio multiplexed backend: TCP routing and failure semantics,
+correlation ids, backpressure, graceful drain, plain-frame interop, and
+the dispatch reentrancy contract under genuinely concurrent handler
+entry."""
 
 from __future__ import annotations
 
@@ -12,11 +13,28 @@ import pytest
 
 from repro.core import wire
 from repro.core.dispatch import Endpoint
-from repro.net.transport import (AsyncTransport, RetryPolicy,
-                                 SocketTransport)
-from repro.net.transport.socketnet import _recv_exact
+from repro.net.transport import AsyncTransport, RetryPolicy, asyncnet
 from repro.exceptions import (AccessDenied, ParameterError,
                               TransientTransportError, TransportError)
+
+
+def _recv_exact(conn: socket_mod.socket, nbytes: int) -> bytes:
+    data = b""
+    while len(data) < nbytes:
+        chunk = conn.recv(nbytes - len(data))
+        if not chunk:
+            raise ConnectionError("peer closed mid-blob")
+        data += chunk
+    return data
+
+
+def _recv_blob(conn: socket_mod.socket) -> bytes:
+    """One length-prefixed blob off a raw blocking socket."""
+    return _recv_exact(conn, int.from_bytes(_recv_exact(conn, 4), "big"))
+
+
+def _send_blob(conn: socket_mod.socket, blob: bytes) -> None:
+    conn.sendall(len(blob).to_bytes(4, "big") + blob)
 
 
 class EchoEndpoint:
@@ -119,7 +137,11 @@ class TestAsyncRoundTrip:
         finally:
             net.close()
 
-    def test_handler_exception_returns_error_response(self):
+    def test_handler_exception_returns_error_response(self, caplog):
+        """An endpoint that *raises* (instead of returning an error
+        response) must not kill the connection — the client gets a
+        typed error frame back and the server logs the failure."""
+
         class Exploding:
             def handle_frame(self, frame: bytes) -> bytes:
                 raise RuntimeError("endpoint blew up")
@@ -133,6 +155,76 @@ class TestAsyncRoundTrip:
                 wire.parse_response(response)
         finally:
             net.close()
+        assert any("frame handler raised" in record.getMessage()
+                   for record in caplog.records)
+
+    def test_static_route_reaches_endpoint_served_elsewhere(self):
+        """A second transport connects via (host, port) only — the
+        same split the two-process smoke test exercises."""
+        server_side = AsyncTransport()
+        client_side = AsyncTransport()
+        try:
+            server_side.bind("svc://a", EchoEndpoint())
+            client_side.add_route("svc://a", "127.0.0.1",
+                                  server_side.port_of("svc://a"))
+            assert client_side.endpoint_at("svc://a") is None
+            assert client_side.has_route("svc://a")
+            response = client_side.request(
+                "cli://x", "svc://a", wire.make_frame(b"echo", b"remote"),
+                label="step")
+            assert wire.parse_response(response) == b"remote"
+        finally:
+            client_side.close()
+            server_side.close()
+
+    def test_connection_refused_is_transient(self):
+        server = AsyncTransport()
+        server.bind("svc://a", EchoEndpoint())
+        port = server.port_of("svc://a")
+        server.close()
+        net = AsyncTransport(connect_timeout_s=2.0)
+        try:
+            net.add_route("svc://a", "127.0.0.1", port)
+            with pytest.raises(TransientTransportError,
+                               match="cannot connect"):
+                net.notify("c", "svc://a", wire.make_frame(b"echo"),
+                           label="l")
+        finally:
+            net.close()
+
+    def test_reply_record_has_direction_split_timestamps(self):
+        """The reply FrameRecord must carry its own times, not a copy
+        of the request's — reply latency used to equal the full RTT."""
+        net = AsyncTransport()
+        try:
+            net.bind("svc://a", EchoEndpoint())
+            mark = net.mark()
+            net.request("cli://x", "svc://a",
+                        wire.make_frame(b"echo", b"t"), label="step")
+            request, reply = net.records_since(mark)
+            assert request.sent_at <= request.arrived_at
+            assert reply.sent_at == request.arrived_at
+            assert reply.sent_at <= reply.arrived_at
+            assert reply.latency <= (reply.arrived_at - request.sent_at)
+        finally:
+            net.close()
+
+    def test_oversize_frame_answered_with_error_not_silence(self, caplog):
+        """A header claiming an absurd length must earn a serialized
+        error response, not a dropped connection."""
+        net = AsyncTransport()
+        try:
+            net.bind("svc://a", EchoEndpoint())
+            address = ("127.0.0.1", net.port_of("svc://a"))
+            with socket_mod.create_connection(address, timeout=5.0) as conn:
+                conn.sendall((1 << 31).to_bytes(4, "big") + b"junk")
+                response = _recv_blob(conn)
+        finally:
+            net.close()
+        with pytest.raises(TransportError, match="could not read frame"):
+            wire.parse_response(response)
+        assert any("unreadable frame" in record.getMessage()
+                   for record in caplog.records)
 
     def test_serialized_transient_refusal_retries(self):
         """A remote endpoint's TransientTransportError rides back as a
@@ -180,24 +272,66 @@ class TestAsyncRoundTrip:
                        label="l")
 
 
+class TestSocketTuning:
+    """Both ends of every connection disable Nagle (small
+    write-then-wait frames must not sit out a delayed ACK), and the
+    listener allows address reuse (a restarted server rebinds its fixed
+    port through TIME_WAIT)."""
+
+    def test_accepted_and_client_connections_get_nodelay(self,
+                                                         monkeypatch):
+        seen = []
+        original = asyncnet._set_nodelay
+
+        def spy(writer):
+            original(writer)
+            sock = writer.get_extra_info("socket")
+            seen.append((sock.getsockname(), sock.getpeername(),
+                         sock.getsockopt(socket_mod.IPPROTO_TCP,
+                                         socket_mod.TCP_NODELAY)))
+
+        monkeypatch.setattr(asyncnet, "_set_nodelay", spy)
+        net = AsyncTransport()
+        try:
+            net.bind("svc://a", EchoEndpoint())
+            net.request("cli://x", "svc://a",
+                        wire.make_frame(b"echo", b"t"), label="step")
+        finally:
+            net.close()
+        assert all(nodelay for _local, _peer, nodelay in seen)
+        # The client socket and the server's accepted socket are the
+        # two ends of one connection, and both were tuned.
+        ends = {local for local, _peer, _nodelay in seen}
+        assert any(peer in ends for _local, peer, _nodelay in seen)
+
+    def test_server_listener_reuses_address(self):
+        net = AsyncTransport()
+        try:
+            net.bind("svc://a", EchoEndpoint())
+            listener = net._servers[0].sockets[0]
+            assert listener.getsockopt(socket_mod.SOL_SOCKET,
+                                       socket_mod.SO_REUSEADDR)
+        finally:
+            net.close()
+
+
 class TestLegacyInterop:
     def test_blocking_socket_client_reaches_async_server(self):
-        """Frame id 0 encodes as the identity bytes, so an unmodified
-        connection-per-frame SocketTransport client can talk to an
-        AsyncTransport server."""
-        server_side = AsyncTransport()
-        client_side = SocketTransport()
+        """Frame id 0 encodes as the identity bytes, so a plain blocking
+        client — one length-prefixed frame out, one reply back, no
+        correlation id — can talk to an AsyncTransport server, and the
+        reply comes back as plain bytes too."""
+        net = AsyncTransport()
         try:
-            server_side.bind("svc://a", EchoEndpoint())
-            client_side.add_route("svc://a", "127.0.0.1",
-                                  server_side.port_of("svc://a"))
-            response = client_side.request(
-                "cli://x", "svc://a", wire.make_frame(b"echo", b"legacy"),
-                label="step")
-            assert wire.parse_response(response) == b"legacy"
+            net.bind("svc://a", EchoEndpoint())
+            address = ("127.0.0.1", net.port_of("svc://a"))
+            with socket_mod.create_connection(address, timeout=5.0) as conn:
+                _send_blob(conn, wire.make_frame(b"echo", b"legacy"))
+                response = _recv_blob(conn)
         finally:
-            client_side.close()
-            server_side.close()
+            net.close()
+        assert not response.startswith(wire.CORR_MAGIC)
+        assert wire.parse_response(response) == b"legacy"
 
     def test_wrapped_frame_is_opaque_to_a_legacy_endpoint(self):
         """The reverse pairing is intentionally unsupported: a mux
@@ -229,15 +363,12 @@ class _ReorderingServer:
         with conn, self._srv:
             batch: list[tuple[int, bytes]] = []
             for _ in range(self.expect):
-                header = _recv_exact(conn, 4)
-                blob = _recv_exact(conn, int.from_bytes(header, "big"))
-                frame_id, frame = wire.unwrap_corr(blob)
+                frame_id, frame = wire.unwrap_corr(_recv_blob(conn))
                 _opcode, fields = wire.parse_frame(frame)
                 batch.append((frame_id,
                               wire.ok_response(b"echo:" + fields[0])))
             for frame_id, response in reversed(batch):
-                out = wire.wrap_corr(frame_id, response)
-                conn.sendall(len(out).to_bytes(4, "big") + out)
+                _send_blob(conn, wire.wrap_corr(frame_id, response))
 
 
 class TestOutOfOrderCorrelation:

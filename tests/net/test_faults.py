@@ -28,12 +28,13 @@ from repro.core.protocols.privilege import (assign_privilege,
 from repro.core.protocols.retrieval import common_case_retrieval
 from repro.core.protocols.storage import private_phi_storage
 from repro.core.system import build_system
-from repro.net.transport import (AsyncTransport, FaultPolicy,
-                                 LoopbackTransport, RetryPolicy,
-                                 SocketTransport, parse_fault_spec)
+from repro.net.transport import (FaultPolicy, LoopbackTransport,
+                                 RetryPolicy, parse_fault_spec)
 from repro.exceptions import (ParameterError, PartialResultError,
                               ReplayError, ReproError,
                               TransientTransportError, TransportError)
+
+from conftest import BACKENDS, close_transport, make_transport
 
 ALLERGY_TEXT = "Severe penicillin allergy; carries epinephrine."
 CARDIO_TEXT = "Prior MI (2024); ejection fraction 45%."
@@ -41,8 +42,6 @@ CARDIO_TEXT = "Prior MI (2024); ejection fraction 45%."
 # Seed chosen so the 5% drop + 2% duplication schedule actually fires
 # at least once each over the ~30 frames of the full suite.
 CHAOS_SEED = 15
-
-BACKENDS = ["loopback", "sim", "socket", "async"]
 
 
 class _Echo:
@@ -57,21 +56,6 @@ class _Echo:
     def handle_frame(self, frame: bytes) -> bytes:
         self.frames.append(frame)
         return wire.ok_response(frame)
-
-
-def _make_transport(backend: str, system):
-    if backend == "loopback":
-        return LoopbackTransport()
-    if backend == "sim":
-        return system.network
-    if backend == "async":
-        return AsyncTransport()
-    return SocketTransport()
-
-
-def _close(net) -> None:
-    if isinstance(net, (SocketTransport, AsyncTransport)):
-        net.close()
 
 
 def _seeded_patient(system):
@@ -241,14 +225,14 @@ class TestChaosMatrix:
         system = build_system(seed=b"chaos-matrix")
         faults = FaultPolicy(seed=CHAOS_SEED, drop_rate=0.05,
                              duplicate_rate=0.02)
-        net = with_policies(_make_transport(backend, system),
+        net = with_policies(make_transport(backend, system),
                             retry=RetryPolicy(attempt_timeout_s=0.2,
                                               base_backoff_s=0.01),
                             faults=faults)
         try:
             stats = _run_full_suite(net, system)
         finally:
-            _close(net)
+            close_transport(net)
         # The schedule must actually have hurt us, and every lost
         # attempt must be visible in the per-protocol accounting.
         assert faults.counts["dropped"] >= 1
@@ -268,7 +252,7 @@ class TestChaosMatrix:
         system = build_system(seed=b"chaos-router")
         faults = FaultPolicy(seed=CHAOS_SEED, drop_rate=0.05,
                              duplicate_rate=0.02)
-        net = with_policies(_make_transport(backend, system),
+        net = with_policies(make_transport(backend, system),
                             retry=RetryPolicy(attempt_timeout_s=0.2,
                                               base_backoff_s=0.01),
                             faults=faults)
@@ -276,7 +260,7 @@ class TestChaosMatrix:
             bind_federated_sserver(net, system.sserver, 2)
             stats = _run_full_suite(net, system)
         finally:
-            _close(net)
+            close_transport(net)
         assert faults.counts["dropped"] >= 1
         assert faults.counts["duplicated"] >= 1
         assert sum(s.retries for s in stats.values()) \
@@ -476,7 +460,7 @@ class TestDegradedFederation:
     def _deployment(self, backend, tmp_path):
         system = build_system(seed=b"degraded-federation")
         faults = FaultPolicy(seed=CHAOS_SEED)
-        net = with_policies(_make_transport(backend, system),
+        net = with_policies(make_transport(backend, system),
                             retry=RetryPolicy(max_attempts=2,
                                               attempt_timeout_s=0.2,
                                               base_backoff_s=0.01),
@@ -597,7 +581,7 @@ class TestDegradedFederation:
             assert unavailable == []
             assert payload
         finally:
-            _close(net)
+            close_transport(net)
 
     def test_strict_router_surfaces_transient_error_instead(self,
                                                             tmp_path):

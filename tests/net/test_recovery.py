@@ -36,13 +36,13 @@ from repro.core.protocols.privilege import (assign_privilege,
 from repro.core.protocols.retrieval import common_case_retrieval
 from repro.core.protocols.storage import private_phi_storage
 from repro.core.system import build_system
-from repro.net.transport import (AsyncTransport, FaultPolicy,
-                                 LoopbackTransport, RetryPolicy,
-                                 SocketTransport)
+from repro.net.transport import FaultPolicy, LoopbackTransport, RetryPolicy
 from repro.store import (DurableStore, bind_durable_aserver,
                          bind_durable_pdevice, bind_durable_sserver)
 from repro.exceptions import (AuthenticationError, ReplayError,
                               TransientTransportError)
+
+from conftest import close_transport, make_transport
 
 ALLERGY_TEXT = "Severe penicillin allergy; carries epinephrine."
 CARDIO_TEXT = "Prior MI (2024); ejection fraction 45%."
@@ -51,25 +51,10 @@ CARDIO_TEXT = "Prior MI (2024); ejection fraction 45%."
 CHAOS_SEED = 15
 
 
-def _make_transport(backend: str, system):
-    if backend == "sim":
-        return system.network
-    if backend == "socket":
-        return SocketTransport()
-    if backend == "async":
-        return AsyncTransport()
-    return LoopbackTransport()
-
-
-def _close(net) -> None:
-    if isinstance(net, (SocketTransport, AsyncTransport)):
-        net.close()
-
-
 def _durable_deployment(tmp_path, *, seed, faults, snapshot_every=0,
                         backend="loopback"):
     system = build_system(seed=seed)
-    net = with_policies(_make_transport(backend, system),
+    net = with_policies(make_transport(backend, system),
                         retry=RetryPolicy(attempt_timeout_s=0.2,
                                           base_backoff_s=0.01),
                         faults=faults)
@@ -194,7 +179,7 @@ class TestChaosRecoveryMatrix:
         assert durable.recoveries >= 4  # initial boot + 3 crashes
         assert durable._store.torn_repairs >= 1
 
-    @pytest.mark.parametrize("backend", ["sim", "socket", "async"])
+    @pytest.mark.parametrize("backend", ["sim", "async"])
     def test_suite_survives_crashes_on_every_backend(self, tmp_path,
                                                      backend):
         # The loopback matrix above, re-run over the other three
@@ -214,7 +199,7 @@ class TestChaosRecoveryMatrix:
                 torn_write_victim=system.sserver.address)
             _assert_evidence_intact(system, patient, server, net)
         finally:
-            _close(net)
+            close_transport(net)
         assert faults.counts["restarted"] >= 3
         durable = endpoints["sserver"]
         assert durable.recoveries >= 4  # initial boot + 3 crashes

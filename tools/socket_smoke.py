@@ -6,12 +6,21 @@ port; a second process — sharing nothing but the deployment seed and
 the (host, port) route — uploads a PHI collection and searches it by
 keyword.  Passing proves the frames on the wire are self-contained:
 no in-process object sharing is needed for any byte of the exchange.
+Both processes run the asyncio multiplexed backend (``AsyncTransport``).
+
+After the upload and the retrieval, the client pre-seals a batch of
+keyword searches and fires them from concurrent threads down ONE
+pipelined TCP connection — every caller must get its own keyword's
+files back (correlation ids route the out-of-order replies) and the
+measured peak in-flight depth must exceed one, proving genuine
+cross-process pipelining.
 
 ``--chaos`` hardens the claim: the server child binds its port only
 after a deliberate delay (so the client's first connects are refused
 and must be retried), and the client injects seeded frame drops and
 duplications recovered by the transport's retry policy — the exchange
-must still round-trip correctly.
+must still round-trip correctly.  The pipelined batch is skipped there:
+fault draws from concurrent callers would not replay from the seed.
 
 ``--durable DIR`` hardens it differently: the server child journals
 every acknowledged mutation under DIR, the parent kills it with
@@ -20,19 +29,11 @@ fresh child over the same directory, and the retrieval must still
 return the identical plaintext — recovered purely from the on-disk
 write-ahead journal.
 
-``--async`` swaps both processes onto the asyncio multiplexed backend:
-after the upload, the client pre-seals a batch of keyword searches and
-fires them from concurrent threads down ONE pipelined TCP connection —
-every caller must get its own keyword's files back (correlation ids
-route the out-of-order replies) and the measured peak in-flight depth
-must exceed one, proving genuine cross-process pipelining.
-
 Usage::
 
     python tools/socket_smoke.py --auto            # spawns its own server
     python tools/socket_smoke.py --auto --chaos    # + connect failures/drops
     python tools/socket_smoke.py --auto --durable /tmp/smokedata  # + kill -9
-    python tools/socket_smoke.py --async           # pipelined mux smoke
     python tools/socket_smoke.py --serve           # prints "PORT <n>"
     python tools/socket_smoke.py --client --port <n>
 """
@@ -60,16 +61,16 @@ def _build_system():
 
 
 def serve(port: int = 0, delay_s: float = 0.0,
-          data_dir: str | None = None, use_async: bool = False) -> int:
+          data_dir: str | None = None) -> int:
     from repro.core import dispatch
-    from repro.net.transport import AsyncTransport, SocketTransport
+    from repro.net.transport import AsyncTransport
     system = _build_system()
     if delay_s:
         # Chaos mode: the port is agreed in advance and we bind late, so
         # the client's early connects are refused — its bounded connect
         # retry must bridge the gap.
         time.sleep(delay_s)
-    transport = AsyncTransport() if use_async else SocketTransport()
+    transport = AsyncTransport()
     if data_dir:
         # Durable mode: binding over an existing data dir IS recovery —
         # a fresh OS process rebuilds the S-server from the journal.
@@ -90,82 +91,69 @@ def serve(port: int = 0, delay_s: float = 0.0,
         return 0
 
 
+def _client_transport(server_address: str, port: int):
+    """A client that holds only a route to the server's (host, port);
+    refused connects are retried while the server child starts up."""
+    from repro.net.transport import AsyncTransport
+    transport = AsyncTransport(connect_retries=30,
+                               connect_retry_delay_s=0.2)
+    transport.add_route(server_address, "127.0.0.1", port)
+    assert transport.endpoint_at(server_address) is None, \
+        "client must hold no server endpoint — that is the point"
+    return transport
+
+
 def run_client(port: int, chaos: bool = False) -> int:
     from repro.ehr.records import Category
     from repro.core.protocols.retrieval import common_case_retrieval
     from repro.core.protocols.storage import private_phi_storage
-    from repro.net.transport import (FaultPolicy, RetryPolicy,
-                                     SocketTransport)
+    from repro.net.transport import FaultPolicy, RetryPolicy
 
     system = _build_system()
     patient, server = system.patient, system.sserver
+    transport = _client_transport(server.address, port)
     if chaos:
-        transport = SocketTransport(connect_retries=30,
-                                    connect_retry_delay_s=0.2)
         transport.set_retry_policy(RetryPolicy())
         transport.install_faults(FaultPolicy(**CHAOS_FAULT_SPEC))
-    else:
-        transport = SocketTransport()
-    transport.add_route(server.address, "127.0.0.1", port)
-    assert transport.endpoint_at(server.address) is None, \
-        "client must hold no server endpoint — that is the point"
+    try:
+        patient.add_record(Category.ALLERGIES, ["allergies", "penicillin"],
+                           EXPECTED, server.address)
+        patient.add_record(Category.CARDIOLOGY, ["cardiology"], CARDIO,
+                           server.address)
+        store = private_phi_storage(patient, server, transport)
+        print("stored: collection=%s %d B in %d frame(s), %d retried"
+              % (store.collection_id.hex()[:16], store.stats.bytes_total,
+                 store.stats.messages, store.stats.retries))
 
-    patient.add_record(Category.ALLERGIES, ["allergies", "penicillin"],
-                       EXPECTED, server.address)
-    patient.add_record(Category.CARDIOLOGY, ["cardiology"],
-                       "Prior MI (2024); ejection fraction 45%.",
-                       server.address)
-    store = private_phi_storage(patient, server, transport)
-    print("stored: collection=%s %d B in %d frame(s), %d retried"
-          % (store.collection_id.hex()[:16], store.stats.bytes_total,
-             store.stats.messages, store.stats.retries))
-
-    result = common_case_retrieval(patient, server, transport, ["allergies"])
-    print("retrieved: %d file(s) in %d frame(s), %d retried"
-          % (len(result.files), result.stats.messages,
-             result.stats.retries))
-    contents = [f.medical_content for f in result.files]
-    if contents != [EXPECTED]:
-        print("SMOKE FAIL: got %r" % contents)
-        return 1
-    if chaos:
-        counts = transport.fault_policy.counts
-        print("chaos: %s" % dict(counts))
-    print("SMOKE OK: PHI stored and retrieved across two OS processes"
-          + (" under injected faults" if chaos else ""))
-    return 0
+        result = common_case_retrieval(patient, server, transport,
+                                       ["allergies"])
+        print("retrieved: %d file(s) in %d frame(s), %d retried"
+              % (len(result.files), result.stats.messages,
+                 result.stats.retries))
+        contents = [f.medical_content for f in result.files]
+        if contents != [EXPECTED]:
+            print("SMOKE FAIL: got %r" % contents)
+            return 1
+        if chaos:
+            print("chaos: %s" % dict(transport.fault_policy.counts))
+            print("SMOKE OK: PHI stored and retrieved across two OS "
+                  "processes under injected faults")
+            return 0
+        return _pipelined_searches(patient, server, transport)
+    finally:
+        transport.close()
 
 
-def run_async_client(port: int) -> int:
-    """Upload over the mux connection, then prove pipelining: N
-    pre-sealed searches fired from N threads share one TCP connection,
-    and correlation ids hand each caller its own keyword's files."""
+def _pipelined_searches(patient, server, transport) -> int:
+    """N pre-sealed searches fired from N threads share one TCP
+    connection, and correlation ids hand each caller its own keyword's
+    files."""
     import threading
 
-    from repro.ehr.records import Category
     from repro.core import wire
     from repro.core.protocols.messages import (Envelope, open_envelope,
                                                pack_fields, seal,
                                                unpack_fields)
-    from repro.core.protocols.storage import private_phi_storage
-    from repro.net.transport import AsyncTransport
-
-    system = _build_system()
-    patient, server = system.patient, system.sserver
-    transport = AsyncTransport(connect_retries=30,
-                               connect_retry_delay_s=0.2)
-    transport.add_route(server.address, "127.0.0.1", port)
-    assert transport.endpoint_at(server.address) is None, \
-        "client must hold no server endpoint — that is the point"
-
-    patient.add_record(Category.ALLERGIES, ["allergies", "penicillin"],
-                       EXPECTED, server.address)
-    patient.add_record(Category.CARDIOLOGY, ["cardiology"], CARDIO,
-                       server.address)
-    store = private_phi_storage(patient, server, transport)
-    print("stored: collection=%s %d B in %d frame(s)"
-          % (store.collection_id.hex()[:16], store.stats.bytes_total,
-             store.stats.messages))
 
     # The Patient's RNG draws are not thread-safe, so every request is
     # sealed serially up front; only the wire traffic is concurrent.
@@ -204,8 +192,7 @@ def run_async_client(port: int) -> int:
         thread.start()
     for thread in threads:
         thread.join()
-    peak = transport.peak_in_flight()  # before close() drops the conns
-    transport.close()
+    peak = transport.peak_in_flight()
     if errors:
         print("SMOKE FAIL: concurrent search raised %r" % errors[0])
         return 1
@@ -225,8 +212,8 @@ def run_async_client(port: int) -> int:
               "searches never overlapped on the wire"
               % (peak, CONCURRENT_SEARCHES))
         return 1
-    print("SMOKE OK: %d searches pipelined on one mux connection "
-          "across two OS processes (peak in-flight %d)"
+    print("SMOKE OK: PHI stored and retrieved across two OS processes; "
+          "%d searches pipelined on one mux connection (peak in-flight %d)"
           % (CONCURRENT_SEARCHES, peak))
     return 0
 
@@ -235,14 +222,6 @@ def _free_port() -> int:
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
-
-
-def _client_transport(server_address: str, port: int):
-    from repro.net.transport import SocketTransport
-    transport = SocketTransport(connect_retries=30,
-                                connect_retry_delay_s=0.2)
-    transport.add_route(server_address, "127.0.0.1", port)
-    return transport
 
 
 def _spawn_durable_server(port: int, data_dir: str) -> subprocess.Popen:
@@ -272,9 +251,9 @@ def run_durable(data_dir: str) -> int:
     port = _free_port()
 
     child = _spawn_durable_server(port, data_dir)
+    transport = _client_transport(server.address, port)
     try:
-        store = private_phi_storage(patient, server,
-                                    _client_transport(server.address, port))
+        store = private_phi_storage(patient, server, transport)
         print("stored: collection=%s %d B"
               % (store.collection_id.hex()[:16], store.stats.bytes_total))
         # The kill is -9: no Python-level cleanup runs in the child, so
@@ -283,15 +262,15 @@ def run_durable(data_dir: str) -> int:
         child.wait(timeout=10)
         print("server killed with SIGKILL (exit %d)" % child.returncode)
     finally:
+        transport.close()
         if child.poll() is None:
             child.terminate()
             child.wait(timeout=10)
 
     child = _spawn_durable_server(port, data_dir)
+    transport = _client_transport(server.address, port)
     try:
-        result = common_case_retrieval(patient, server,
-                                       _client_transport(server.address,
-                                                         port),
+        result = common_case_retrieval(patient, server, transport,
                                        ["allergies"])
         contents = [f.medical_content for f in result.files]
         if contents != [EXPECTED]:
@@ -300,15 +279,14 @@ def run_durable(data_dir: str) -> int:
         print("SMOKE OK: PHI survived kill -9 via the on-disk journal")
         return 0
     finally:
+        transport.close()
         child.terminate()
         child.wait(timeout=10)
 
 
-def run_auto(chaos: bool = False, use_async: bool = False) -> int:
+def run_auto(chaos: bool = False) -> int:
     command = [sys.executable, __file__, "--serve"]
     port = None
-    if use_async:
-        command += ["--async"]
     if chaos:
         port = _free_port()
         command += ["--port", str(port),
@@ -323,8 +301,6 @@ def run_auto(chaos: bool = False, use_async: bool = False) -> int:
             port = int(line.split()[1])
         # In chaos mode the client starts BEFORE the server is up, on a
         # pre-agreed port — the first connects are refused on purpose.
-        if use_async:
-            return run_async_client(port)
         return run_client(port, chaos=chaos)
     finally:
         child.terminate()
@@ -333,17 +309,13 @@ def run_auto(chaos: bool = False, use_async: bool = False) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group()
+    mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--auto", action="store_true",
                       help="spawn a server child process and run the client")
     mode.add_argument("--serve", action="store_true",
                       help="host the S-server endpoint; prints PORT")
     mode.add_argument("--client", action="store_true",
                       help="run the client against --port")
-    parser.add_argument("--async", dest="use_async", action="store_true",
-                        help="use the asyncio multiplexed backend and fire "
-                             "concurrent pipelined searches (alone: implies "
-                             "--auto)")
     parser.add_argument("--port", type=int, default=None)
     parser.add_argument("--serve-delay", type=float, default=0.0,
                         help="(with --serve) bind the port only after this "
@@ -356,26 +328,16 @@ def main() -> int:
                              "server mid-run, restart it, and retrieve; "
                              "(with --serve) serve durably from DIR")
     args = parser.parse_args()
-    if not (args.auto or args.serve or args.client):
-        if not args.use_async:
-            parser.error("one of --auto/--serve/--client is required")
-        args.auto = True
-    if args.use_async and (args.chaos or args.durable):
-        # Fault/crash coverage for the async backend lives in the pytest
-        # chaos matrix (tests/net/test_faults.py, test_recovery.py).
-        parser.error("--async does not combine with --chaos/--durable")
     if args.serve:
         return serve(port=args.port or 0, delay_s=args.serve_delay,
-                     data_dir=args.durable, use_async=args.use_async)
+                     data_dir=args.durable)
     if args.client:
         if args.port is None:
             parser.error("--client requires --port")
-        if args.use_async:
-            return run_async_client(args.port)
         return run_client(args.port, chaos=args.chaos)
     if args.durable:
         return run_durable(args.durable)
-    return run_auto(chaos=args.chaos, use_async=args.use_async)
+    return run_auto(chaos=args.chaos)
 
 
 if __name__ == "__main__":
