@@ -13,10 +13,21 @@ widths, cycle-walked PRP domains, partial CTR blocks).  The digests were
 recorded from the straightforward reference implementations and must
 never change; the structural checks (bilinearity, subgroup orders,
 FIPS/RFC vectors) live elsewhere in the suite.
+
+The pairing-group pins run at SS512 as well as SS160: the Miller walk,
+its line-table replay, the final exponentiation, G2 powers and
+hash-to-G1 are pinned on the production curve, over inputs that take
+every branch of the walk (small-order points end it early).
 """
 
 import hashlib
+from types import SimpleNamespace
 
+import pytest
+
+from repro.crypto.ec import Point
+from repro.crypto.fields import Fp2Element
+from repro.crypto.params import default_params
 from repro.crypto.params import test_params as _test_params
 from repro.crypto.pairing import tate_pairing
 from repro.crypto.rng import HmacDrbg
@@ -197,6 +208,165 @@ class TestPinnedValues:
         assert _digest(chunks) == PSEUDONYM_PIN
 
 
+    def test_abdalla_peks_pinned(self):
+        """AbdallaPeks tags (keyword-as-identity IBE) and trapdoors."""
+        from repro.crypto.peks import AbdallaPeks
+        rng = HmacDrbg(b"abdalla-pin")
+        peks = AbdallaPeks(PARAMS, rng)
+        chunks = [peks.public_key.to_bytes()]
+        for keyword in ("allergies", "", "blood type"):
+            tag = peks.tag(keyword, rng)
+            trapdoor = peks.trapdoor(keyword)
+            assert peks.test(tag, trapdoor)
+            chunks += [tag.ciphertext.to_bytes(), tag.reference,
+                       trapdoor.to_bytes()]
+        assert _digest(chunks) == ABDALLA_PIN
+
+    def test_hids_signature_pinned(self):
+        """A level-2 GS hierarchical signature and its verification."""
+        from repro.crypto.hibc import HibcRoot, hids_verify
+        rng = HmacDrbg(b"hids-pin")
+        root = HibcRoot(PARAMS, rng)
+        node = root.extract_child("federal", rng).extract_child("state-ca",
+                                                                rng)
+        chunks = []
+        for message in (b"", b"cross-domain handshake"):
+            signature = node.sign(message)
+            assert hids_verify(PARAMS, root.root_public, node.id_tuple,
+                               message, signature)
+            chunks.append(signature.to_bytes())
+        assert _digest(chunks) == HIDS_PIN
+
+
+def _torsion_point(curve, order: int, start: int) -> Point:
+    """The first lifted point (x ≥ start) times (p + 1)/order ≠ O."""
+    x = start
+    while True:
+        lifted = Point.from_x(x, curve)
+        if lifted is not None:
+            candidate = lifted * ((curve.p + 1) // order)
+            if not candidate.is_infinity:
+                return candidate
+        x += 1
+
+
+@pytest.fixture(scope="module")
+def ss512():
+    """SS512 inputs: the generator, a generic multiple, a hashed identity,
+    a lifted point outside G1, and points of order 2, 4, 3 and 17 (they
+    reach the walk's vertical-tangent, vertical-chord and T = P cases)."""
+    from repro.crypto import mathutil
+    from repro.crypto.hashes import h1_identity
+    params = default_params()
+    curve, G = params.curve, params.generator
+    H = h1_identity(params, "pin:physician")
+    A = G * 0x9E3779B97F4A7C15F39CC0605CEDC834
+    N = next(pt for pt in (Point.from_x(x, curve) for x in range(5, 100))
+             if pt is not None)
+    x4 = 1 if mathutil.is_quadratic_residue(2, curve.p) else -1
+    T4 = Point.from_x(x4 % curve.p, curve)
+    T2 = Point(0, 0, curve)
+    T3 = _torsion_point(curve, 3, 7)
+    T17 = _torsion_point(curve, 17, 7)
+    pairs = [(G, H), (H, G), (A, N), (N, A), (G, G), (T2, H), (T4, G),
+             (H, T4), (T3, A), (T17, H), (A, T3)]
+    return SimpleNamespace(params=params, curve=curve, G=G, H=H, A=A,
+                           pairs=pairs)
+
+
+class TestSs512Pins:
+    """SS512 known answers for the pairing group, recorded before any
+    kernel change; ``miller_loop`` and the line-table replay share a pin."""
+
+    def test_miller_loop_pinned(self, ss512):
+        from repro.crypto.pairing import miller_loop
+        values = [miller_loop(P, Q).to_bytes() for P, Q in ss512.pairs]
+        assert _digest(values) == MILLER_512_PIN
+
+    def test_prepared_miller_pinned(self, ss512):
+        from repro.crypto.pairing import PreparedPairing
+        values = [PreparedPairing(P).miller(Q).to_bytes()
+                  for P, Q in ss512.pairs]
+        assert _digest(values) == MILLER_512_PIN
+
+    def test_final_exponentiation_pinned(self, ss512):
+        from repro.crypto.pairing import final_exponentiation, miller_loop
+        p = ss512.curve.p
+        inputs = [miller_loop(P, Q) for P, Q in ss512.pairs[:5]]
+        inputs += [Fp2Element(3, 5, p), Fp2Element(0, 1, p),
+                   Fp2Element(p - 1, 0, p), Fp2Element(7, 0, p)]
+        values = [final_exponentiation(f, ss512.curve).to_bytes()
+                  for f in inputs]
+        assert _digest(values) == FINAL_EXP_512_PIN
+
+    def test_tate_pairing_pinned(self, ss512):
+        from repro.crypto.pairing import clear_pairing_cache
+        clear_pairing_cache()
+        infinity = Point.infinity_point(ss512.curve)
+        pairs = ss512.pairs[:5] + [(infinity, ss512.G), (ss512.H, infinity)]
+        values = [tate_pairing(P, Q).to_bytes() for P, Q in pairs]
+        assert _digest(values) == TATE_512_PIN
+
+    def test_g2_powers_pinned(self, ss512):
+        """Unitary bases (pairing values, ±1, i) and a non-unitary one,
+        over 160-bit, negative, r- and h-sized exponents."""
+        from repro.crypto.pairing import miller_loop
+        curve, p = ss512.curve, ss512.curve.p
+        k = 0xB5AD4ECEDA1CE2A9C0FFEE1234567890ABCDEF01
+        g = tate_pairing(ss512.G, ss512.H)
+        exponents = [0, 1, 2, 3, -1, k, -k, curve.r - 1, curve.r,
+                     curve.r + 1, curve.h, curve.h - 1, -curve.h,
+                     (1 << 352) + (1 << 200) + 17]
+        values = [(g ** e).to_bytes() for e in exponents]
+        for base in (Fp2Element(p - 1, 0, p), Fp2Element(0, 1, p)):
+            values += [(base ** e).to_bytes() for e in (k, k + 1, -3, 6)]
+        plain = miller_loop(ss512.G, ss512.H)
+        assert plain.norm() != 1
+        values += [(plain ** e).to_bytes() for e in (0, 1, k, -k, curve.h)]
+        assert _digest(values) == G2_POW_512_PIN
+
+    def test_h1_identity_pinned(self, ss512):
+        from repro.crypto.hashes import h1_identity
+        identities = ["", "pin:physician", "role:2026-10-17|ICU|area-7",
+                      b"\x00\xffbinary"]
+        values = [h1_identity(ss512.params, ident).to_bytes()
+                  for ident in identities]
+        assert _digest(values) == H1_512_PIN
+
+    def test_full_ident_pinned(self, ss512):
+        """FullIdent and point-IBE encrypt/decrypt under a fixed DRBG."""
+        from repro.crypto.ibe import (FullIdent, PrivateKeyGenerator,
+                                      decrypt_with_point, encrypt_to_point)
+        params = ss512.params
+        rng = HmacDrbg(b"ss512-ibe-pin")
+        pkg = PrivateKeyGenerator(params, rng)
+        key = pkg.extract("pin:physician")
+        scheme = FullIdent(params, pkg.public_key)
+        message = bytes((5 * i + 3) & 0xFF for i in range(1000))
+        ciphertext = scheme.encrypt("pin:physician", message, rng)
+        assert scheme.decrypt(key, ciphertext) == message
+        to_point = encrypt_to_point(params, pkg.public_key, key.public,
+                                    message[:77], rng)
+        assert decrypt_with_point(key.private, to_point) == message[:77]
+        chunks = [pkg.public_key.to_bytes(), key.private.to_bytes(),
+                  ciphertext.to_bytes(), to_point.to_bytes()]
+        assert _digest(chunks) == FULL_IDENT_512_PIN
+
+    def test_ibs_signature_pinned(self, ss512):
+        from repro.crypto.ibe import PrivateKeyGenerator
+        from repro.crypto.ibs import sign, verify
+        params = ss512.params
+        rng = HmacDrbg(b"ss512-ibs-pin")
+        pkg = PrivateKeyGenerator(params, rng)
+        key = pkg.extract("pin:physician")
+        chunks = []
+        for message in (b"", b"passcode request"):
+            signature = sign(params, key, message, rng)
+            assert verify(params, pkg.public_key, "pin:physician", message,
+                          signature)
+            chunks.append(signature.to_bytes())
+        assert _digest(chunks) == IBS_512_PIN
+
 
 class TestUploadCosts:
     """Counted costs of the patient's upload path (the values above pin
@@ -262,3 +432,12 @@ MODES_PIN = "88422175cfc66f950a5230595edbe71e0db5fbf7fc36cb712febe5020cd0ac8e"
 CIPHERS_PIN = "283a82f62ea28e4904f4fdbce82495a1103df985879ea89d92c7edb1204216ac"
 UPLOAD_PIN = "b888d933be517146f5b0b639233f503ef961ea5acf469de60b2e125595087265"
 PSEUDONYM_PIN = "234966aecb79edf9bba99e3807ce65ee26ce059eb2f2ab621dba0e20e86d6d07"
+ABDALLA_PIN = "795c492e583dc21fc17436f613286e0430894d76513f6f30e64c587be5ee483b"
+HIDS_PIN = "d1e2cdd6b8eeac9e5604403a76dff45b84e8cfba77e6612617af97c8a239f0de"
+MILLER_512_PIN = "afdeb4b9036b48e4c84a63d3043e8f76005f55c659d51b8caf559f007d513a5a"
+FINAL_EXP_512_PIN = "fa5169bc6dae46d4d71912ebc86cecd69103251b5f6f968e551454efbfb46e7e"
+TATE_512_PIN = "8280b2774956ce1a12c846599341663b08e305d686004554aa4046257d812cba"
+G2_POW_512_PIN = "3abeb443544aa059abdb318ada09b0155b04d1bcd1b9d4e55444faeb1ac6836d"
+H1_512_PIN = "b9e6a9deda7ce7655d0678dbb5fc636bd1fa39a282fb031e43fd68cb024d929b"
+FULL_IDENT_512_PIN = "e22dedcf1681f52ce8cc387197987703311ba343e29c5cf1fd5e90a02a5fc603"
+IBS_512_PIN = "008fd20a94576d7452c8ba4b3fda26b57814a7f743f60b6b7eeeb5181302bf45"
