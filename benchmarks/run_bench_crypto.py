@@ -15,6 +15,12 @@ primitive (HMAC one-shot and keyed, AES block and key schedule, 1 KiB
 CTR, ``DomainPrp.encrypt``) and end to end (a 20-file ``build_upload``
 and the whole client half of an upload).
 
+A fifth leg, ``pairing``, times the pairing group of the break-glass
+path: a line-table build, ``miller_loop``, ``final_exponentiation``, a
+160-bit G2 power, and hash-to-G1 cold and memoised.  It raises when
+``miller_loop(P, Q)`` and ``prepared(P).miller(Q)`` disagree, so the
+ss160 smoke run fails on a mismatch.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/run_bench_crypto.py \
@@ -35,10 +41,12 @@ import time
 from pathlib import Path
 
 from repro.crypto.aes import AES
+from repro.crypto.hashes import h1_identity
 from repro.crypto.hmac_impl import HmacKey, hmac_sha256
 from repro.crypto.modes import ctr_transform
 from repro.crypto.pairing import (PreparedPairing, clear_pairing_cache,
-                                  tate_pairing)
+                                  final_exponentiation, miller_loop,
+                                  prepared, tate_pairing)
 from repro.crypto.params import default_params, test_params
 from repro.crypto.precompute import PrecomputedPoint
 from repro.crypto.prp import DomainPrp
@@ -165,6 +173,39 @@ def bench_symmetric(params, iters: int) -> dict:
     return out
 
 
+def bench_pairing(params, iters: int) -> dict:
+    """The pairing group of the break-glass path, one call at a time.
+
+    ``h1_cold_ms`` hashes a distinct identity per call after the caches
+    are cleared; ``h1_memo_ms`` repeats one already-hashed identity.
+    """
+    G, curve = params.generator, params.curve
+    rng = HmacDrbg(b"bench-runner-pairing")
+    ps = [G * params.random_scalar(rng) for _ in range(iters)]
+    qs = [G * params.random_scalar(rng) for _ in range(iters)]
+    clear_pairing_cache()
+    for P, Q in zip(ps, qs):
+        if miller_loop(P, Q) != prepared(P).miller(Q):
+            raise RuntimeError("miller_loop and the prepared replay differ")
+    millers = [miller_loop(P, Q) for P, Q in zip(ps, qs)]
+    g = final_exponentiation(millers[0], curve)
+    exponents = [params.random_scalar(rng) for _ in range(iters)]
+    out = {"cpu_count": os.cpu_count(),
+           "line_table_ms": _time_each(PreparedPairing, ps) * 1e3,
+           "miller_loop_ms": _time_each(lambda pq: miller_loop(*pq),
+                                        list(zip(ps, qs))) * 1e3,
+           "final_exp_ms": _time_each(
+               lambda f: final_exponentiation(f, curve), millers) * 1e3,
+           "g2_pow_160_ms": _time_each(lambda k: g ** k, exponents) * 1e3}
+    clear_pairing_cache()
+    out["h1_cold_ms"] = _time_each(
+        lambda ident: h1_identity(params, ident),
+        ["bench-physician-%d" % i for i in range(iters)]) * 1e3
+    out["h1_memo_ms"] = _time(
+        lambda: h1_identity(params, "bench-physician-0"), iters) * 1e3
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--params", choices=["ss512", "ss160"],
@@ -209,6 +250,13 @@ def main() -> None:
              sym["ctr_1kib_us"], sym["domain_prp_us"]))
     print("   build_upload (20 files) %.2f ms  client half %.2f ms"
           % (sym["build_upload_ms"], sym["upload_client_ms"]))
+
+    print("== pairing group (%s, %s cores) ==" % (args.params, os.cpu_count()))
+    results["pairing"] = pg = bench_pairing(params, args.iters)
+    print("   line table %.2f ms  miller_loop %.2f ms  final exp %.2f ms  "
+          "G2 power (160-bit) %.2f ms  H1 cold %.2f ms  memoised %.4f ms"
+          % (pg["line_table_ms"], pg["miller_loop_ms"], pg["final_exp_ms"],
+             pg["g2_pow_160_ms"], pg["h1_cold_ms"], pg["h1_memo_ms"]))
 
     entry = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

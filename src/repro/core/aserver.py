@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.ec import Point
+from repro.crypto.hashes import h1_identity
 from repro.crypto.hibc import HibcNode, HibcRoot
 from repro.crypto.ibe import (IbeCiphertext, IdentityKeyPair,
                               PrivateKeyGenerator, encrypt_to_point)
@@ -165,7 +166,7 @@ class StateAServer:
         self._outstanding[physician_id] = nounce
 
         # Step 2: E′_ϖ(nounce) to the physician under the SOK key ϖ.
-        physician_public = self._pkg.extract(physician_id).public
+        physician_public = h1_identity(self.params, physician_id)
         omega = shared_key_from_points(self.identity_key.private,
                                        physician_public)
         encrypted = AuthenticatedCipher(omega).encrypt(nounce, self._rng)
@@ -227,7 +228,7 @@ class StateAServer:
         unwrap the role private point.
         """
         role_key = self.extract_role_key(physician_id, role_identity)
-        physician_public = self._pkg.extract(physician_id).public
+        physician_public = h1_identity(self.params, physician_id)
         omega = shared_key_from_points(self.identity_key.private,
                                        physician_public)
         return AuthenticatedCipher(omega).encrypt(

@@ -93,9 +93,11 @@ class Point:
         rhs = (pow(x, 3, p) + x) % p
         if rhs == 0:
             return cls(x, 0, curve, check=False)
-        if not mathutil.is_quadratic_residue(rhs, p):
+        # p ≡ 3 (mod 4): rhs^((p+1)/4) is a root exactly when rhs is a
+        # square, so one exponentiation both finds and tests it.
+        y = pow(rhs, (p + 1) // 4, p)
+        if y * y % p != rhs:
             return None
-        y = mathutil.sqrt_mod(rhs, p)
         if y % 2 != parity:
             y = p - y
         return cls(x, y, curve, check=False)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.ec import Point
-from repro.crypto.hashes import h1_identity, h_g2_to_bytes
+from repro.crypto.hashes import h1_identity, h1_uncached, h_g2_to_bytes
 from repro.crypto.mathutil import xor_bytes
 from repro.crypto.pairing import final_exponentiation, miller_loop, prepared
 from repro.crypto.params import DomainParams
@@ -226,9 +226,10 @@ class HibcNode:
 
 def _message_point(params: DomainParams, id_tuple: tuple[str, ...],
                    message: bytes) -> Point:
-    """Hash a message, bound to the signer tuple, to a G1 point P_m."""
+    """Hash a message, bound to the signer tuple, to a G1 point P_m
+    (one-shot, so it bypasses the H1 memo)."""
     material = ("\x1f".join(id_tuple)).encode() + b"\x00" + message
-    return h1_identity(params, b"hids-msg:" + material)
+    return h1_uncached(params, b"hids-msg:" + material)
 
 
 def hibe_encrypt(params: DomainParams, root_public: Point,

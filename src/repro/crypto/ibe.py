@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.ec import Point
-from repro.crypto.hashes import h1_identity, h_g2_to_bytes, h_to_scalar
+from repro.crypto.hashes import (h1_identity, h_g2_to_bytes, h_to_scalar,
+                                 sha256_stream)
 from repro.crypto.mathutil import xor_bytes
 from repro.crypto.pairing import prepared, tate_pairing
 from repro.crypto.params import DomainParams
@@ -151,14 +152,7 @@ class FullIdent:
 
     @staticmethod
     def _h5(sigma: bytes, length: int) -> bytes:
-        import hashlib
-        output = b""
-        counter = 0
-        while len(output) < length:
-            output += hashlib.sha256(
-                b"FO-H5" + counter.to_bytes(4, "big") + sigma).digest()
-            counter += 1
-        return output[:length]
+        return sha256_stream(b"FO-H5", sigma, length)
 
     def encrypt(self, identity: str, message: bytes, rng: HmacDrbg) -> IbeCiphertext:
         sigma = rng.random_bytes(self.SIGMA_BYTES)

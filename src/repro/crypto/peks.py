@@ -32,10 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.ec import Point
-from repro.crypto.hashes import (h1_identity, h2_keyword_point,
+from repro.crypto.hashes import (h1_identity, h1_uncached, h2_keyword_point,
                                  h2_keyword_scalar, h3_pairing_to_bytes)
 from repro.crypto.hmac_impl import constant_time_equal
-from repro.crypto.ibe import BasicIdent, IbeCiphertext, PrivateKeyGenerator
+from repro.crypto.ibe import (IbeCiphertext, PrivateKeyGenerator,
+                              encrypt_to_point)
 from repro.crypto.pairing import prepared
 from repro.crypto.params import DomainParams
 from repro.crypto.rng import HmacDrbg
@@ -130,14 +131,22 @@ class AbdallaPeks:
         self._pkg = PrivateKeyGenerator(params, rng)
         self.public_key = self._pkg.public_key
 
+    def _keyword_point(self, keyword: str) -> Point:
+        # Keywords are secrets: hashed without the public-identity memo.
+        return h1_uncached(self.params, "peks-kw:" + keyword)
+
     def tag(self, keyword: str, rng: HmacDrbg) -> AbdallaTag:
+        """BasicIdent encryption of a random R to the keyword's point."""
         reference = rng.random_bytes(self.R_BYTES)
-        scheme = BasicIdent(self.params, self.public_key)
-        ciphertext = scheme.encrypt("peks-kw:" + keyword, reference, rng)
+        ciphertext = encrypt_to_point(self.params, self.public_key,
+                                      self._keyword_point(keyword),
+                                      reference, rng)
         return AbdallaTag(ciphertext=ciphertext, reference=reference)
 
     def trapdoor(self, keyword: str) -> PeksTrapdoor:
-        return PeksTrapdoor(self._pkg.extract("peks-kw:" + keyword).private)
+        """The keyword's IBE private key α·H1(keyword)."""
+        return PeksTrapdoor(self._keyword_point(keyword)
+                            * self._pkg.master_secret)
 
     def test(self, tag: AbdallaTag, trapdoor: PeksTrapdoor) -> bool:
         # Decrypt with the keyword key and compare against the shipped R.
