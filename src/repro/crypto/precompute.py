@@ -49,24 +49,16 @@ DEFAULT_WINDOW = 4
 def _batch_to_affine(entries: list[Jacobian], p: int) -> list[tuple[int, int]]:
     """Normalise Jacobian points to affine with one shared inversion.
 
-    Montgomery's trick: invert the product of all Z coordinates once, then
-    peel individual inverses off with two multiplications each.  All
-    entries must be non-infinity (guaranteed by the table structure: the
-    digit multiples d·2^{w·i} never vanish mod an odd order).
+    Montgomery's trick (:func:`mathutil.batch_inv_mod`) over the Z
+    coordinates.  All entries must be non-infinity (guaranteed by the
+    table structure: the digit multiples d·2^{w·i} never vanish mod an
+    odd order).
     """
-    prefix: list[int] = []
-    acc = 1
-    for _, _, z in entries:
-        acc = acc * z % p
-        prefix.append(acc)
-    inv = mathutil.inv_mod(acc, p)
-    affine: list[tuple[int, int]] = [(0, 0)] * len(entries)
-    for i in range(len(entries) - 1, -1, -1):
-        x, y, z = entries[i]
-        z_inv = inv * (prefix[i - 1] if i else 1) % p
-        inv = inv * z % p
+    affine: list[tuple[int, int]] = []
+    z_invs = mathutil.batch_inv_mod([z for _, _, z in entries], p)
+    for (x, y, _), z_inv in zip(entries, z_invs):
         z_inv_sq = z_inv * z_inv % p
-        affine[i] = (x * z_inv_sq % p, y * z_inv_sq * z_inv % p)
+        affine.append((x * z_inv_sq % p, y * z_inv_sq * z_inv % p))
     return affine
 
 
