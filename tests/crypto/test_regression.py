@@ -15,9 +15,10 @@ never change; the structural checks (bilinearity, subgroup orders,
 FIPS/RFC vectors) live elsewhere in the suite.
 
 The pairing-group pins run at SS512 as well as SS160: the Miller walk,
-its line-table replay, the final exponentiation, G2 powers and
-hash-to-G1 are pinned on the production curve, over inputs that take
-every branch of the walk (small-order points end it early).
+its line-table replay, the final exponentiation, G2 powers,
+hash-to-G1 and variable-base scalar multiplication are pinned on the
+production curve, over inputs that take every branch of the walk
+(small-order points end it early).
 """
 
 import hashlib
@@ -270,8 +271,8 @@ def ss512():
     T17 = _torsion_point(curve, 17, 7)
     pairs = [(G, H), (H, G), (A, N), (N, A), (G, G), (T2, H), (T4, G),
              (H, T4), (T3, A), (T17, H), (A, T3)]
-    return SimpleNamespace(params=params, curve=curve, G=G, H=H, A=A,
-                           pairs=pairs)
+    return SimpleNamespace(params=params, curve=curve, G=G, H=H, A=A, N=N,
+                           T3=T3, T4=T4, pairs=pairs)
 
 
 class TestSs512Pins:
@@ -367,6 +368,21 @@ class TestSs512Pins:
             chunks.append(signature.to_bytes())
         assert _digest(chunks) == IBS_512_PIN
 
+    def test_point_mul_pinned(self, ss512):
+        """Variable-base ``Point.__mul__``: a 160-bit scalar, negative
+        scalars, the cofactor h and the group-order edges, over G1 points,
+        a lifted point outside G1 and points of order 2, 3 and 4."""
+        curve = ss512.curve
+        n = curve.r * curve.h
+        k = 0xB5AD4ECEDA1CE2A9C0FFEE1234567890ABCDEF01
+        bases = [ss512.G, ss512.H, ss512.N, Point(0, 0, curve), ss512.T3,
+                 ss512.T4]
+        scalars = [0, 1, -1, 2, 3, k, -k, curve.h, -curve.h, curve.r - 1,
+                   curve.r, curve.r + 1, n - 1, n, n + 5]
+        values = [(base * scalar).to_bytes()
+                  for base in bases for scalar in scalars]
+        assert _digest(values) == MUL_512_PIN
+
 
 class TestUploadCosts:
     """Counted costs of the patient's upload path (the values above pin
@@ -441,3 +457,4 @@ G2_POW_512_PIN = "3abeb443544aa059abdb318ada09b0155b04d1bcd1b9d4e55444faeb1ac683
 H1_512_PIN = "b9e6a9deda7ce7655d0678dbb5fc636bd1fa39a282fb031e43fd68cb024d929b"
 FULL_IDENT_512_PIN = "e22dedcf1681f52ce8cc387197987703311ba343e29c5cf1fd5e90a02a5fc603"
 IBS_512_PIN = "008fd20a94576d7452c8ba4b3fda26b57814a7f743f60b6b7eeeb5181302bf45"
+MUL_512_PIN = "c5db87c68eba3d371acbd4a1be90359b20fb3ff0167fe40ec289a4dbc02fea25"
