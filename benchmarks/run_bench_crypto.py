@@ -4,8 +4,8 @@ Measures the naive and accelerated variants of the optimisation targets
 side by side and appends a run entry to a trajectory JSON file (default
 ``BENCH_crypto.json`` at the repo root):
 
-1. fixed-base scalar multiplication — generic NAF ``Point.__mul__`` vs the
-   windowed :class:`~repro.crypto.precompute.PrecomputedPoint` tables,
+1. fixed-base scalar multiplication — variable-base ``Point.__mul__`` vs
+   the windowed :class:`~repro.crypto.precompute.PrecomputedPoint` tables,
 2. fixed-first-argument pairing — full ``tate_pairing`` Miller loop vs
    :class:`~repro.crypto.pairing.PreparedPairing` replay,
 3. S-server index deserialization — cold vs cached.
@@ -20,6 +20,12 @@ path: a line-table build, ``miller_loop``, ``final_exponentiation``, a
 160-bit G2 power, and hash-to-G1 cold and memoised.  It raises when
 ``miller_loop(P, Q)`` and ``prepared(P).miller(Q)`` disagree, so the
 ss160 smoke run fails on a mismatch.
+
+A sixth leg, ``ec``, times variable-base ``Point.__mul__`` with a
+160-bit scalar and with the cofactor h, and Hess IBS sign and verify
+cold (a signer not seen before) and warm (the same signer again).  It
+raises when ``Point.__mul__`` disagrees with a Jacobian double-and-add
+on any of its samples.
 
 Usage::
 
@@ -206,6 +212,81 @@ def bench_pairing(params, iters: int) -> dict:
     return out
 
 
+def _double_and_add(point, k: int):
+    """Reference ``k * point`` by Jacobian double-and-add (affine tuple)."""
+    from repro.crypto.ec import jacobian_add, jacobian_double, jacobian_to_affine
+    p = point.curve.p
+    base = (point.x, point.y, 1)
+    acc = (1, 1, 0)
+    for bit in bin(k)[2:]:
+        acc = jacobian_double(acc, p)
+        if bit == "1":
+            acc = jacobian_add(acc, base, p)
+    return jacobian_to_affine(acc, p)
+
+
+def bench_ec(params, iters: int) -> dict:
+    """Variable-base scalar multiplication and Hess IBS, cold and warm.
+
+    ``mul_160_ms`` multiplies distinct G1 points by distinct 160-bit
+    scalars and ``mul_h_ms`` lifted curve points by the cofactor h (the
+    hash-to-G1 step).  ``ibs_*_cold_ms`` signs or verifies once per
+    fresh identity after the caches are cleared; ``ibs_*_warm_ms``
+    repeats one identity with a fresh message each call.
+    """
+    from repro.crypto.ec import Point
+    from repro.crypto.ibe import PrivateKeyGenerator
+    from repro.crypto.ibs import sign, verify
+
+    G, curve = params.generator, params.curve
+    rng = HmacDrbg(b"bench-runner-ec")
+    bases = [G * params.random_scalar(rng) for _ in range(iters)]
+    scalars = [params.random_scalar(rng) | 1 << 159 for _ in range(iters)]
+    lifted = []
+    x = 5
+    while len(lifted) < iters:
+        point = Point.from_x(x, curve)
+        if point is not None:
+            lifted.append(point)
+        x += 1
+    for point, k in list(zip(bases, scalars)) + [(pt, curve.h)
+                                                 for pt in lifted]:
+        product = point * k
+        if _double_and_add(point, k) != (product.x, product.y):
+            raise RuntimeError("Point.__mul__ disagrees with double-and-add")
+    out = {"cpu_count": os.cpu_count(),
+           "mul_160_ms": _time_each(lambda bk: bk[0] * bk[1],
+                                    list(zip(bases, scalars))) * 1e3,
+           "mul_h_ms": _time_each(lambda pt: pt * curve.h, lifted) * 1e3}
+
+    pkg = PrivateKeyGenerator(params, rng)
+    keys = [pkg.extract("bench-signer-%d" % i) for i in range(iters)]
+    messages = [b"passcode request %d" % i for i in range(iters)]
+    clear_pairing_cache()
+    prepared(G)
+    prepared(pkg.public_key)  # line tables warm: "cold" is the identity
+    cold = [sign(params, key, m, rng) for key, m in zip(keys, messages)]
+    clear_pairing_cache()
+    prepared(G)
+    prepared(pkg.public_key)
+    out["ibs_sign_cold_ms"] = _time_each(
+        lambda km: sign(params, km[0], km[1], rng),
+        list(zip(keys, messages))) * 1e3
+    out["ibs_verify_cold_ms"] = _time_each(
+        lambda i: verify(params, pkg.public_key, keys[i].identity,
+                         messages[i], cold[i]), range(iters)) * 1e3
+    warm = [sign(params, keys[0], m, rng) for m in messages]
+    out["ibs_sign_warm_ms"] = _time_each(
+        lambda m: sign(params, keys[0], m, rng), messages) * 1e3
+    out["ibs_verify_warm_ms"] = _time_each(
+        lambda i: verify(params, pkg.public_key, keys[0].identity,
+                         messages[i], warm[i]), range(iters)) * 1e3
+    if not all(verify(params, pkg.public_key, keys[0].identity, m, sig)
+               for m, sig in zip(messages, warm)):
+        raise RuntimeError("IBS signature failed to verify")
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--params", choices=["ss512", "ss160"],
@@ -257,6 +338,15 @@ def main() -> None:
           "G2 power (160-bit) %.2f ms  H1 cold %.2f ms  memoised %.4f ms"
           % (pg["line_table_ms"], pg["miller_loop_ms"], pg["final_exp_ms"],
              pg["g2_pow_160_ms"], pg["h1_cold_ms"], pg["h1_memo_ms"]))
+
+    print("== variable-base EC and IBS (%s, %s cores) =="
+          % (args.params, os.cpu_count()))
+    results["ec"] = ec = bench_ec(params, args.iters)
+    print("   mul 160-bit %.2f ms  mul h %.2f ms  IBS sign cold %.2f / warm "
+          "%.2f ms  verify cold %.2f / warm %.2f ms"
+          % (ec["mul_160_ms"], ec["mul_h_ms"], ec["ibs_sign_cold_ms"],
+             ec["ibs_sign_warm_ms"], ec["ibs_verify_cold_ms"],
+             ec["ibs_verify_warm_ms"]))
 
     entry = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

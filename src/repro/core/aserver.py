@@ -26,7 +26,7 @@ from repro.crypto.ibe import (IbeCiphertext, IdentityKeyPair,
 from repro.crypto.ibs import IbsSignature, sign as ibs_sign
 from repro.crypto.ibs import verify as ibs_verify
 from repro.crypto.modes import AuthenticatedCipher
-from repro.crypto.nike import shared_key_from_points
+from repro.crypto.nike import StaticKeyCache
 from repro.crypto.params import DomainParams
 from repro.crypto.pseudonym import TemporaryKeyPair, issue_temporary_pair
 from repro.crypto.rng import HmacDrbg
@@ -90,6 +90,8 @@ class StateAServer:
         # from-disk recovery can re-check replayed auths against the
         # roster that was in force when they were committed.
         self.on_roster_change = None
+        # ϖ per physician, derived once (memory only, never snapshotted).
+        self._static_keys = StaticKeyCache()
 
     # -- domain management (system setup, §IV.A) --------------------------------
     @property
@@ -166,10 +168,8 @@ class StateAServer:
         self._outstanding[physician_id] = nounce
 
         # Step 2: E′_ϖ(nounce) to the physician under the SOK key ϖ.
-        physician_public = h1_identity(self.params, physician_id)
-        omega = shared_key_from_points(self.identity_key.private,
-                                       physician_public)
-        encrypted = AuthenticatedCipher(omega).encrypt(nounce, self._rng)
+        encrypted = AuthenticatedCipher(self._omega(physician_id)).encrypt(
+            nounce, self._rng)
         sig_phys = ibs_sign(
             self.params, self.identity_key,
             pack_fields(physician_id.encode(), pd_key, encrypted,
@@ -228,11 +228,13 @@ class StateAServer:
         unwrap the role private point.
         """
         role_key = self.extract_role_key(physician_id, role_identity)
-        physician_public = h1_identity(self.params, physician_id)
-        omega = shared_key_from_points(self.identity_key.private,
-                                       physician_public)
-        return AuthenticatedCipher(omega).encrypt(
+        return AuthenticatedCipher(self._omega(physician_id)).encrypt(
             role_key.private.to_bytes(), self._rng)
+
+    def _omega(self, physician_id: str) -> bytes:
+        """ϖ = ê(Γ_A, PK_i), the static SOK key with one physician."""
+        return self._static_keys.get(self.identity_key.private,
+                                     h1_identity(self.params, physician_id))
 
     def traces_for(self, patient_pseudonym: bytes) -> list[TraceRecord]:
         """The patient's post-emergency TR request (§V.A accountability)."""

@@ -26,7 +26,7 @@ from repro.crypto.ec import Point
 from repro.crypto.hmac_impl import constant_time_equal, hmac_sha256
 from repro.crypto.ibe import IdentityKeyPair
 from repro.crypto.ibs import IbsSignature, sign as ibs_sign
-from repro.crypto.nike import shared_key_from_points
+from repro.crypto.nike import StaticKeyCache, shared_key_from_points
 from repro.crypto.params import DomainParams
 from repro.crypto.pseudonym import TemporaryKeyPair, self_generate
 from repro.crypto.rng import HmacDrbg
@@ -415,6 +415,7 @@ class Physician:
         self.address = "physician://" + physician_id
         self.received_phi: list[PhiFile] = []
         self.received_mhi: list[MhiWindow] = []
+        self._static_keys = StaticKeyCache()
 
     def sign_passcode_request(self, request: bytes,
                               t_request: float) -> IbsSignature:
@@ -424,5 +425,5 @@ class Physician:
         return ibs_sign(self.params, self.identity_key, message, self.rng)
 
     def session_key_with(self, other_public: Point) -> bytes:
-        """ϖ (or ρ) via SOK with my own private key."""
-        return shared_key_from_points(self.identity_key.private, other_public)
+        """ϖ (or ρ) via SOK with my own private key, derived once per peer."""
+        return self._static_keys.get(self.identity_key.private, other_public)

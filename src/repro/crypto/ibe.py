@@ -21,7 +21,7 @@ from repro.crypto.ec import Point
 from repro.crypto.hashes import (h1_identity, h_g2_to_bytes, h_to_scalar,
                                  sha256_stream)
 from repro.crypto.mathutil import xor_bytes
-from repro.crypto.pairing import prepared, tate_pairing
+from repro.crypto.pairing import identity_pairing, prepared, tate_pairing
 from repro.crypto.params import DomainParams
 from repro.crypto.rng import HmacDrbg
 from repro.exceptions import DecryptionError, ParameterError
@@ -121,9 +121,9 @@ class BasicIdent:
     def encrypt(self, identity: str, message: bytes, rng: HmacDrbg) -> IbeCiphertext:
         r = self.params.random_scalar(rng)
         U = self.params.point_mul_generator(r)
-        # Fixed-argument pairing: P_pub never changes, the identity does —
-        # the symmetric pairing lets the prepared side take the first slot.
-        g_id = prepared(self.pkg_public).pair(h1_identity(self.params, identity))
+        # ê(H1(ID), P_pub) depends only on the public identity: memoised.
+        g_id = identity_pairing(self.pkg_public,
+                                h1_identity(self.params, identity))
         mask = h_g2_to_bytes(g_id ** r, len(message))
         return IbeCiphertext(U=U, V=xor_bytes(message, mask))
 
@@ -158,7 +158,8 @@ class FullIdent:
         sigma = rng.random_bytes(self.SIGMA_BYTES)
         r = self._h4(sigma, message)
         U = self.params.point_mul_generator(r)
-        g_id = prepared(self.pkg_public).pair(h1_identity(self.params, identity))
+        g_id = identity_pairing(self.pkg_public,
+                                h1_identity(self.params, identity))
         V = xor_bytes(sigma, h_g2_to_bytes(g_id ** r, self.SIGMA_BYTES))
         W = xor_bytes(message, self._h5(sigma, len(message)))
         return IbeCiphertext(U=U, V=V, W=W)
@@ -188,6 +189,8 @@ def encrypt_to_point(params: DomainParams, pkg_public: Point,
     private half Γ_p = s0·TP_p) — not a hashed identity.  The scheme is
     identical to BasicIdent with H1(ID) replaced by the point:
     U = rP, V = m ⊕ H(ê(TP_p, P_pub)^r); decryption uses ê(Γ_p, U).
+    The point may be a pseudonym or a secret keyword point, so its
+    pairing is not memoised (see :func:`identity_pairing`).
     """
     if public_point.is_infinity:
         raise ParameterError("cannot encrypt to the infinity point")

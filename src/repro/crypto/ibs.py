@@ -16,13 +16,13 @@ Correctness: ê(u,P) = ê(S_ID,P)^v·ê(H1(ID),P)^k = ê(H1(ID),P_pub)^v · r.
 
 Acceleration (all output-equivalent to the textbook formulas):
 
-* Both pairings in sign/verify have a *system parameter* (P or P_pub) on
-  one side; those sides are served by :func:`repro.crypto.pairing.prepared`
-  Miller loops (and, since the pairing is symmetric and the final
-  exponentiation is multiplicative, moving the fixed point to the first
-  slot inside the batched product leaves r' unchanged).
-* Verification still shares one final exponentiation across its two
-  Miller loops (the ``pairing_product`` trick).
+* ê(H1(ID), P) in signing and ê(H1(ID), P_pub) in verification pair a
+  system point with a public identity, so both come from the memo of
+  :func:`repro.crypto.pairing.identity_pairing` (the pairing is
+  symmetric, so the system point takes the prepared first slot).
+* Verification computes r' = ê(P, u) · ê(P_pub, PK)^(−v): one prepared
+  pairing and one G2 power, where the textbook form ê(u, P)·ê(−v·PK,
+  P_pub) spends a scalar multiplication and a second Miller loop.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.crypto.ec import Point
 from repro.crypto.fields import Fp2Element
 from repro.crypto.hashes import h1_identity, h_to_scalar
 from repro.crypto.ibe import IdentityKeyPair
-from repro.crypto.pairing import final_exponentiation, prepared
+from repro.crypto.pairing import identity_pairing, prepared
 from repro.crypto.params import DomainParams
 from repro.crypto.rng import HmacDrbg
 from repro.exceptions import SignatureError
@@ -71,7 +71,7 @@ def sign(params: DomainParams, key: IdentityKeyPair, message: bytes,
          rng: HmacDrbg) -> IbsSignature:
     """Produce a Hess IBS on ``message`` under the signer's identity key."""
     k = params.random_scalar(rng)
-    r = prepared(params.generator).pair(key.public) ** k
+    r = identity_pairing(params.generator, key.public) ** k
     v = h_to_scalar(params, b"hess-ibs", message, r.to_bytes())
     u = key.private * v + key.public * k
     return IbsSignature(u=u, v=v)
@@ -79,18 +79,13 @@ def sign(params: DomainParams, key: IdentityKeyPair, message: bytes,
 
 def _recompute_r(params: DomainParams, pkg_public: Point, pk: Point,
                  signature: IbsSignature) -> Fp2Element:
-    """r' = ê(u, P) · ê(PK, P_pub)^(−v), batched under one final exp.
+    """r' = ê(P, u) · ê(P_pub, PK)^(−v).
 
-    The fixed system points P and P_pub take the prepared (first) pairing
-    slot; by symmetry of ê and multiplicativity of the final
-    exponentiation the resulting r' is the exact value of the textbook
-    right-hand side.
+    Equal, element for element, to the textbook ê(u, P) · ê(PK, P_pub)^(−v):
+    ê is symmetric, and ê(P_pub, PK) is memoised per identity.
     """
-    acc = prepared(params.generator).miller(signature.u)
-    neg_vpk = pk * (-signature.v % params.r)
-    if not neg_vpk.is_infinity and not pkg_public.is_infinity:
-        acc = acc * prepared(pkg_public).miller(neg_vpk)
-    return final_exponentiation(acc, params.curve)
+    return (prepared(params.generator).pair(signature.u)
+            * identity_pairing(pkg_public, pk) ** (-signature.v % params.r))
 
 
 def verify(params: DomainParams, pkg_public: Point, identity: str,

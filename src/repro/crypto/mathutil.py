@@ -254,26 +254,3 @@ def product(values: Iterable[int], mod: int | None = None) -> int:
         if mod is not None:
             result %= mod
     return result
-
-
-def hamming_weight(n: int) -> int:
-    """Number of set bits in ``n`` (used to pick low-weight exponents)."""
-    return bin(n).count("1")
-
-
-def naf(n: int) -> list[int]:
-    """Non-adjacent form of ``n``, least-significant digit first.
-
-    The NAF has minimal Hamming weight among signed binary representations,
-    which shortens Miller loops and scalar multiplications.
-    """
-    digits: list[int] = []
-    while n:
-        if n & 1:
-            d = 2 - (n % 4)
-            digits.append(d)
-            n -= d
-        else:
-            digits.append(0)
-        n >>= 1
-    return digits

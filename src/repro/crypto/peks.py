@@ -37,7 +37,7 @@ from repro.crypto.hashes import (h1_identity, h1_uncached, h2_keyword_point,
 from repro.crypto.hmac_impl import constant_time_equal
 from repro.crypto.ibe import (IbeCiphertext, PrivateKeyGenerator,
                               encrypt_to_point)
-from repro.crypto.pairing import prepared
+from repro.crypto.pairing import identity_pairing, prepared
 from repro.crypto.params import DomainParams
 from repro.crypto.rng import HmacDrbg
 from repro.exceptions import ParameterError
@@ -175,8 +175,8 @@ class RolePeks:
         """PEKS_σ(ID_r, kw) = (σP, H3(ê(H1(ID_r), P_pub)^{σ·h2(kw)}))."""
         sigma = self.params.random_scalar(rng)
         A = self.params.point_mul_generator(sigma)
-        base = prepared(self.pkg_public).pair(
-            h1_identity(self.params, role_identity))
+        base = identity_pairing(self.pkg_public,
+                                h1_identity(self.params, role_identity))
         exponent = sigma * h2_keyword_scalar(self.params, keyword) % self.params.r
         return PeksTag(A=A, B=h3_pairing_to_bytes(base ** exponent,
                                                   _TOKEN_BYTES))
@@ -249,8 +249,8 @@ class MultiKeywordPeks:
             raise ParameterError("need at least one keyword")
         sigma = self.params.random_scalar(rng)
         A = self.params.point_mul_generator(sigma)
-        base = prepared(self._single.pkg_public).pair(
-            h1_identity(self.params, role_identity))
+        base = identity_pairing(self._single.pkg_public,
+                                h1_identity(self.params, role_identity))
         tokens = []
         for kw in keywords:
             exponent = sigma * h2_keyword_scalar(self.params, kw) % self.params.r

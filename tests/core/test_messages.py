@@ -1,7 +1,10 @@
 """Envelope / replay-guard tests (data-integrity requirement §III.C)."""
 
-import pytest
+import random
 from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.protocols.messages import (Envelope, ReplayGuard,
                                            open_envelope, pack_fields,
@@ -99,3 +102,86 @@ class TestReplayGuard:
         env2 = seal(KEY, "b", b"p2", 150.0)
         open_envelope(KEY, env2, 150.0, guard, max_skew_s=10.0)
         assert len(guard) == 1  # env1 pruned
+
+
+class _ScanGuard:
+    """Reference model: the window as a dict, pruned by a full scan."""
+
+    def __init__(self, window_s):
+        self.window_s = window_s
+        self.seen = {}
+
+    def _prune(self, now):
+        horizon = now - self.window_s
+        for tag in [t for t, ts in self.seen.items() if ts < horizon]:
+            del self.seen[tag]
+
+    def check_and_remember(self, tag, timestamp):
+        self._prune(timestamp)
+        if tag in self.seen:
+            return False
+        self.seen[tag] = timestamp
+        return True
+
+    def insert(self, tag, timestamp):
+        self._prune(timestamp)
+        self.seen.setdefault(tag, timestamp)
+
+
+_guard_ops = st.lists(
+    st.tuples(st.sampled_from(["check", "insert", "load"]),
+              st.integers(min_value=0, max_value=11),
+              st.integers(min_value=0, max_value=4000)),
+    max_size=60)
+
+
+class TestReplayGuardExpiry:
+    """The heap-backed guard against the full-scan model, with
+    timestamps presented out of order as skewed client clocks do."""
+
+    @given(_guard_ops, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_scan_model(self, ops, shuffler):
+        ops = list(ops)
+        shuffler.shuffle(ops)
+        guard, model = ReplayGuard(window_s=10.0), _ScanGuard(10.0)
+        for kind, tag_id, ts_ms in ops:
+            tag, timestamp = b"tag-%d" % tag_id, ts_ms / 100.0
+            if kind == "check":
+                env = Envelope(label="x", payload=b"", timestamp=timestamp,
+                               tag=tag)
+                accepted = model.check_and_remember(tag, timestamp)
+                if accepted:
+                    guard.check_and_remember(env)
+                else:
+                    with pytest.raises(ReplayError):
+                        guard.check_and_remember(env)
+            elif kind == "insert":
+                guard.insert(tag, timestamp)
+                model.insert(tag, timestamp)
+            else:
+                guard.load_state([(tag, timestamp)])
+                model.seen.setdefault(tag, timestamp)
+            assert guard.export_state() == sorted(model.seen.items())
+            assert len(guard) == len(model.seen)
+
+    def test_prune_touches_only_expired_entries(self, monkeypatch):
+        from repro.core.protocols import messages
+        guard = ReplayGuard(window_s=60.0)
+        stamps = [1000.0 + i / 40 for i in range(2000)]  # a 50 s spread
+        random.Random(7).shuffle(stamps)
+        for i, ts in enumerate(stamps):
+            guard.insert(b"t%d" % i, ts)
+        assert len(guard) == 2000
+        pops = []
+        heappop = messages.heapq.heappop
+
+        def counting_pop(heap):
+            pops.append(heap[0])
+            return heappop(heap)
+
+        monkeypatch.setattr(messages.heapq, "heappop", counting_pop)
+        guard.insert(b"late", 1085.0)  # horizon 1025.0
+        assert len(pops) == 1000
+        assert len(guard) == 1000 + 1
+        assert min(ts for _, ts in guard.export_state()) == 1025.0

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.ec import (CurveParams, Point, jacobian_add,
                              jacobian_double, jacobian_to_affine,
-                             scalar_mult_jacobian)
+                             scalar_mult_ladder)
 from repro.crypto.params import test_params as _test_params
 from repro.exceptions import NotOnCurveError, ParameterError
 
@@ -176,15 +176,104 @@ class TestJacobianKernels:
         assert jacobian_add((G.x, G.y, 1), inf, CURVE.p) == (G.x, G.y, 1)
 
     def test_scalar_mult_negative(self):
-        result = scalar_mult_jacobian(G.x, G.y, -3, CURVE.p)
+        result = scalar_mult_ladder(G.x, G.y, -3, CURVE.p)
         expected = -(G * 3)
         assert result == (expected.x, expected.y)
 
     def test_scalar_mult_zero(self):
-        assert scalar_mult_jacobian(G.x, G.y, 0, CURVE.p) is None
+        assert scalar_mult_ladder(G.x, G.y, 0, CURVE.p) is None
 
     @given(scalars)
     @settings(max_examples=20, deadline=None)
     def test_doubling_consistency(self, a):
         P = G * a
         assert P.double() == P * 2
+
+
+N_ORDER = CURVE.r * CURVE.h  # #E(F_p) = p + 1
+
+
+def _affine_mul(P, k):
+    """Reference: affine double-and-add over Point's own group law (one
+    inversion per step), independent of the ladder."""
+    if k < 0:
+        return -_affine_mul(P, -k)
+    acc = Point.infinity_point(CURVE)
+    for bit in bin(k)[2:]:
+        acc = acc.double()
+        if bit == "1":
+            acc = acc + P
+    return acc
+
+
+def _lift(x):
+    """The first curve point with x-coordinate ≥ x (mod p)."""
+    while True:
+        point = Point.from_x(x % CURVE.p, CURVE)
+        if point is not None:
+            return point
+        x += 1
+
+
+def _torsion(order, start):
+    """A point whose order divides ``order`` (≠ O)."""
+    x = start
+    while True:
+        candidate = _lift(x) * (N_ORDER // order)
+        if not candidate.is_infinity:
+            return candidate
+        x += 1
+
+
+g1_points = scalars.map(lambda a: G * a)
+curve_points = st.integers(min_value=0, max_value=CURVE.p - 1).map(_lift)
+ladder_scalars = st.integers(min_value=-2 * N_ORDER, max_value=2 * N_ORDER)
+FIXED_SCALARS = {"0": 0, "1": 1, "2": 2, "r-1": CURVE.r - 1, "r": CURVE.r,
+                 "r+1": CURVE.r + 1, "h": CURVE.h, "n-1": N_ORDER - 1,
+                 "n": N_ORDER}
+TWO_TORSION = Point(0, 0, CURVE)
+
+
+class TestMontgomeryLadder:
+    """Point.__mul__ and scalar_mult_ladder against affine double-and-add,
+    on G1 and on the rest of E(F_p) (h has many small factors, so lifted
+    points carry torsion of many orders)."""
+
+    @given(g1_points, ladder_scalars)
+    @settings(max_examples=40, deadline=None)
+    def test_g1_points(self, P, k):
+        assert P * k == _affine_mul(P, k)
+
+    @given(curve_points, ladder_scalars)
+    @settings(max_examples=60, deadline=None)
+    def test_points_outside_g1(self, P, k):
+        expected = _affine_mul(P, k)
+        assert P * k == expected
+        raw = scalar_mult_ladder(P.x, P.y, k, CURVE.p)
+        assert raw == (None if expected.is_infinity
+                       else (expected.x, expected.y))
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["pos", "neg"])
+    @pytest.mark.parametrize("name", list(FIXED_SCALARS))
+    def test_fixed_scalars(self, name, sign):
+        k = sign * FIXED_SCALARS[name]
+        points = [G, G * 0xC0FFEE, _lift(5), _lift(123456789),
+                  _torsion(4, 2), _torsion(5, 2), _torsion(100, 2),
+                  _torsion(CURVE.h, 11)]
+        for P in points:
+            assert P * k == _affine_mul(P, k), (P, k)
+
+    @given(ladder_scalars)
+    @settings(max_examples=30, deadline=None)
+    def test_two_torsion_point(self, k):
+        expected = TWO_TORSION if k % 2 else Point.infinity_point(CURVE)
+        assert TWO_TORSION * k == expected == _affine_mul(TWO_TORSION, k)
+
+    def test_minus_p_and_infinity_branches(self):
+        # (k + 1)P = O takes the Z1 = 0 branch; kP = O the Z0 = 0 one.
+        for P, order in ((G, CURVE.r), (_torsion(4, 2), 4),
+                         (_torsion(5, 2), 5), (_torsion(25, 50), 25)):
+            assert _affine_mul(P, order).is_infinity
+            assert P * (order - 1) == -P
+            assert (P * order).is_infinity
+            assert P * (order + 1) == P

@@ -205,27 +205,6 @@ class TestEncoding:
             mathutil.xor_bytes(b"ab", b"abc")
 
 
-class TestNaf:
-    @given(st.integers(min_value=0, max_value=1 << 64))
-    @settings(max_examples=100)
-    def test_naf_reconstructs(self, n):
-        digits = mathutil.naf(n)
-        assert sum(d << i for i, d in enumerate(digits)) == n
-
-    @given(st.integers(min_value=1, max_value=1 << 64))
-    @settings(max_examples=100)
-    def test_naf_nonadjacent(self, n):
-        digits = mathutil.naf(n)
-        for i in range(len(digits) - 1):
-            assert not (digits[i] != 0 and digits[i + 1] != 0)
-
-    @given(st.integers(min_value=1, max_value=1 << 64))
-    @settings(max_examples=50)
-    def test_naf_weight_not_worse(self, n):
-        naf_weight = sum(1 for d in mathutil.naf(n) if d)
-        assert naf_weight <= mathutil.hamming_weight(n)
-
-
 class TestMisc:
     def test_ceil_div(self):
         assert mathutil.ceil_div(10, 3) == 4
