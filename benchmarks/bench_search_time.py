@@ -9,14 +9,10 @@ on N).  The ablation compares the FKS table against a plain dict.
 
 import pytest
 
-from repro.core.protocols.messages import Envelope
-from repro.crypto.ec import Point
 from repro.crypto.rng import HmacDrbg
 from repro.sse.fks import FksTable
 from repro.sse.index import SecureIndex, clear_index_cache, load_index_cached
 from repro.sse.scheme import Sse1Scheme, keygen
-
-from conftest import build_stored_system
 
 
 def _uniform_index(n_keywords: int):
@@ -72,57 +68,6 @@ def test_search_cost_tracks_result_size(benchmark):
     fids = benchmark(lambda: index.search(trapdoor))
     assert len(fids) == 50
     benchmark.extra_info["result_files"] = len(fids)
-
-
-def _batch_requests(system, n_requests: int):
-    """Independent sealed search requests against the stored collection."""
-    from repro.core.protocols.messages import pack_fields, seal
-    from repro.core.sserver import SearchRequest
-    server = system.sserver
-    collection_id = system.patient.collection_ids[server.address]
-    keywords = sorted(system.patient.collection.index.keywords())
-    requests = []
-    for i in range(n_requests):
-        pseudonym = system.patient.fresh_pseudonym()
-        nu = system.patient.session_key_with(server.identity_key.public,
-                                             pseudonym)
-        td = system.patient.trapdoor(keywords[i % len(keywords)]).to_bytes()
-        # Distinct timestamps keep the replay guard out of the picture.
-        envelope = seal(nu, "phi-retrieve", pack_fields(td),
-                        1000.0 + i * 0.001)
-        requests.append((SearchRequest(pseudonym=pseudonym.public.to_bytes(),
-                                       collection_id=collection_id,
-                                       envelope=envelope.to_bytes()),
-                         1000.0 + i * 0.001))
-    return server, requests
-
-
-@pytest.mark.parametrize("mode", ["serial", "batched"])
-def test_batched_search_modes(benchmark, mode):
-    """8 independent search requests: a serial loop vs one OP_SEARCH_BATCH.
-
-    The replies are byte-identical across modes; the batched handler
-    adds only the per-entry decode and outcome bookkeeping.
-    """
-    system = build_stored_system(n_files=10, seed=b"bench-batch")
-
-    def run():
-        server, requests = _batch_requests(system, 8)
-        if mode == "serial":
-            curve = server.params.curve
-            return [server.handle_search(
-                        Point.from_bytes(req.pseudonym, curve),
-                        req.collection_id, Envelope.from_bytes(req.envelope),
-                        now)
-                    for req, now in requests]
-        outcomes = server.handle_search_each([req for req, _ in requests],
-                                             requests[0][1])
-        assert all(exc is None for _, exc in outcomes)
-        return [reply for reply, _ in outcomes]
-
-    replies = benchmark(run)
-    assert len(replies) == 8
-    benchmark.extra_info["mode"] = mode
 
 
 @pytest.mark.parametrize("mode", ["cold", "cached"])

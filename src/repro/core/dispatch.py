@@ -34,8 +34,7 @@ from repro.core.protocols.messages import (Envelope, ReplayGuard,
                                            open_envelope, pack_fields,
                                            unpack_fields)
 from repro.core.router import RouterEndpoint
-from repro.core.sserver import (SearchRequest, StorageServer,
-                                _deserialize_broadcast)
+from repro.core.sserver import StorageServer, _deserialize_broadcast
 from repro.exceptions import (AccessDenied, AuthenticationError,
                               IntegrityError, ParameterError, ReplayError,
                               ReproError, TransportError)
@@ -195,7 +194,6 @@ class SServerEndpoint(Endpoint):
         self._ops = {
             wire.OP_STORE: self._op_store,
             wire.OP_SEARCH: self._op_search,
-            wire.OP_SEARCH_BATCH: self._op_search_batch,
             wire.OP_SEARCH_MULTI: self._op_search_multi,
             wire.OP_SEARCH_SHARD: self._op_search_shard,
             wire.OP_SEARCH_MERGE: self._op_search_merge,
@@ -225,10 +223,10 @@ class SServerEndpoint(Endpoint):
 
     # -- §IV.B storage -------------------------------------------------------
     def _op_store(self, fields: list[bytes]) -> bytes:
-        (pseud_b, env_b, index_blob, files_blob, group_d,
+        (pseud_b, env_b, index_b, files_blob, group_d,
          broadcast_b) = self._expect(fields, 6)
         envelope = Envelope.from_bytes(env_b)
-        index = SecureIndex.from_bytes(index_blob)
+        index = SecureIndex.from_bytes(index_b)
         files = wire.decode_files(files_blob)
         # Recompute the SI/Λ digests over what actually arrived and match
         # them against the MACed payload summary (§III.C data integrity).
@@ -248,33 +246,7 @@ class SServerEndpoint(Endpoint):
             Envelope.from_bytes(env_b), self.now)
         return reply.to_bytes()
 
-    # -- batched / federated search ------------------------------------------
-    def _op_search_batch(self, fields: list[bytes]) -> bytes:
-        """Many independent searches in one frame.
-
-        Each frame field is one ``(pseudonym, Λ, envelope)`` entry; the
-        reply packs one *full status-framed response* per entry — entry k
-        carries its own ok/error encoding, independent of its neighbours.
-        Per-entry framing is what lets the federation router scatter
-        sub-batches to shards and splice the per-entry responses back
-        together byte-identically to one server serving the whole batch.
-        The framing the router checks before it scatters (three entry
-        fields, four envelope fields) fails the whole frame here too;
-        everything past it fails only its own entry.
-        """
-        requests = []
-        for entry in fields:
-            pseud_b, collection_id, env_b = unpack_fields(entry, expected=3)
-            unpack_fields(env_b, expected=4)
-            requests.append(SearchRequest(
-                pseudonym=pseud_b, collection_id=collection_id,
-                envelope=env_b))
-        outcomes = self.server.handle_search_each(requests, self.now)
-        return pack_fields(*[
-            wire.error_response(exc) if exc is not None
-            else wire.ok_response(reply.to_bytes())
-            for reply, exc in outcomes])
-
+    # -- multi-collection / federated search ----------------------------------
     def _op_search_multi(self, fields: list[bytes]) -> bytes:
         pseud_b, cids_b, env_b = self._expect(fields, 3)
         reply = self.server.handle_search_merge(

@@ -157,9 +157,11 @@ class ReplayGuard:
     rather than a scan of the window; client clocks skew, so tags arrive
     out of timestamp order and the heap, not arrival order, decides.
 
-    Thread-safe: the S-server's batched search path checks envelopes from
-    worker threads, so the check-then-insert must be atomic (two threads
-    presenting the same tag concurrently must not both pass).
+    Thread-safe: ``AsyncTransport`` dispatches pipelined read frames
+    concurrently from its handler threads, so one server's guard checks
+    envelopes from several threads at once and the check-then-insert
+    must be atomic (two threads presenting the same tag concurrently
+    must not both pass).
     """
 
     def __init__(self, window_s: float = DEFAULT_MAX_SKEW_S) -> None:

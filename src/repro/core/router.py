@@ -21,7 +21,6 @@ OP_MHI_SEARCH         meets the role's stored windows on one shard)
 OP_XD_HANDSHAKE       scattered to *all* shards (session establishment
                       is deterministic and idempotent, so any shard can
                       later serve the session's searches)
-OP_SEARCH_BATCH       per entry, by each entry's collection id
 OP_SEARCH_MULTI       per collection id; cross-shard sets scatter
 ====================  ==================================================
 
@@ -29,9 +28,8 @@ OP_SEARCH_MULTI       per collection id; cross-shard sets scatter
 them) are dispatched *directly* — no extra frame records, no simulated
 clock ticks — so every response the router returns is byte-identical
 to a single S-server holding all the data.  Scatter-gather merges are
-deterministic: results concatenate in the caller's collection order
-(OP_SEARCH_MULTI) or splice back by entry index (OP_SEARCH_BATCH),
-never in shard or completion order.
+deterministic: OP_SEARCH_MULTI results concatenate in the caller's
+collection order, never in shard or completion order.
 
 **Internal-leg authentication.**  The router→shard legs of a
 cross-shard OP_SEARCH_MULTI (OP_SEARCH_SHARD / OP_SEARCH_MERGE) are
@@ -71,8 +69,8 @@ from repro.core.health import HealthTable
 from repro.core.shard import DEFAULT_VNODES, HashRing
 from repro.core.shard import collection_id_for_tag
 from repro.exceptions import (AuthenticationError, ParameterError,
-                              ReplayError, ReproError,
-                              TransientTransportError, TransportError)
+                              ReproError, TransientTransportError,
+                              TransportError)
 
 __all__ = ["RouterEndpoint"]
 
@@ -149,7 +147,6 @@ class RouterEndpoint:
             wire.OP_MHI_SEARCH: self._route_mhi_search,
             wire.OP_XD_HANDSHAKE: self._route_xd_handshake,
             wire.OP_XD_SEARCH: self._route_xd_search,
-            wire.OP_SEARCH_BATCH: self._route_search_batch,
             wire.OP_SEARCH_MULTI: self._route_search_multi,
         }
 
@@ -414,99 +411,6 @@ class RouterEndpoint:
             if response[:1] != b"\x00":
                 return response
         return responses[0]
-
-    def _route_search_batch(self, fields: "list[bytes]",
-                            frame: bytes) -> bytes:
-        """Scatter batch entries to their owning shards; splice by index.
-
-        Each entry routes independently by its collection id.  The
-        per-entry response framing (every entry a full status-framed
-        response, see ``SServerEndpoint._op_search_batch``) makes the
-        splice exact: entry k's bytes depend only on entry k, so
-        reassembling sub-batch replies in original entry order is
-        byte-identical to one server serving the whole batch.
-        """
-        if len(self.shard_addresses) == 1:
-            return self._forward(self.shard_addresses[0], frame,
-                                 "router/scatter")
-        by_shard: dict[str, list[int]] = {}
-        seen_tags: set[bytes] = set()
-        for i, entry in enumerate(fields):
-            entry_fields = wire.unpack_fields(entry, expected=3)
-            # Cross-shard replay defence: two entries carrying the same
-            # envelope tag would scatter to *different* shards and each
-            # pass its shard's local replay guard — reject the batch
-            # before any leg runs (a single server would reject the
-            # duplicate entry through its guard; the router has no
-            # guard, so it refuses the whole frame instead).
-            tag = _envelope_tag(entry_fields[2])
-            if tag in seen_tags:
-                raise ReplayError(
-                    "duplicate envelope tag within one batch (entry %d)"
-                    % i)
-            seen_tags.add(tag)
-            shard = self.ring.owner_str(entry_fields[1])
-            by_shard.setdefault(shard, []).append(i)
-        # Deterministic scatter order: shards sorted by address.
-        targets, index_map = [], []
-        for shard in sorted(by_shard):
-            indexes = by_shard[shard]
-            targets.append((shard, wire.make_frame(
-                wire.OP_SEARCH_BATCH, *[fields[i] for i in indexes])))
-            index_map.append(indexes)
-        if not self.allow_partial:
-            responses = self._scatter(targets, "router/scatter")
-            unavailable: list[str] = []
-        else:
-            responses, unavailable = self._scatter_degraded(
-                targets, "router/scatter")
-        entries: list = [None] * len(fields)
-        for (shard, _), indexes, response in zip(targets, index_map,
-                                                 responses):
-            if response is None:
-                refusal = wire.error_response(TransientTransportError(
-                    "shard %s unavailable" % shard))
-                for i in indexes:
-                    entries[i] = refusal
-                continue
-            sub_entries = wire.unpack_fields(wire.parse_response(response))
-            if len(sub_entries) != len(indexes):
-                raise TransportError(
-                    "shard answered %d batch entries, expected %d"
-                    % (len(sub_entries), len(indexes)))
-            for i, entry in zip(indexes, sub_entries):
-                entries[i] = entry
-        payload = wire.pack_fields(*entries)
-        if unavailable:
-            return wire.partial_response(
-                payload, [shard.encode() for shard in unavailable])
-        return wire.ok_response(payload)
-
-    def _scatter_degraded(self, targets: "list[tuple[str, bytes]]",
-                          label: str, hedge: bool = False):
-        """Health-gated tolerant scatter: (responses, unavailable shards).
-
-        Legs whose breaker is open are routed *around* (never attempted
-        — the open→half-open clock, not traffic, decides when the shard
-        is next probed); attempted legs that fail transiently come back
-        as ``None``.  Raises :class:`TransientTransportError` when every
-        leg is lost — an all-shards-down scatter is a failure, not an
-        empty partial result.
-        """
-        allowed = [self.health.breaker(shard).allow()
-                   for shard, _ in targets]
-        live = [target for target, ok in zip(targets, allowed) if ok]
-        live_responses = iter(self._scatter(live, label, hedge=hedge,
-                                            tolerant=True))
-        responses: "list[bytes | None]" = [
-            next(live_responses) if ok else None for ok in allowed]
-        unavailable = [shard for (shard, _), response in zip(targets,
-                                                             responses)
-                       if response is None]
-        if targets and len(unavailable) == len(targets):
-            raise TransientTransportError(
-                "all %d scattered shards unavailable" % len(targets))
-        return responses, unavailable
 
     def _route_search_multi(self, fields: "list[bytes]",
                             frame: bytes) -> bytes:

@@ -25,7 +25,7 @@ experiments mine this log.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.crypto.broadcast import BroadcastCiphertext
 from repro.crypto.ec import Point
@@ -36,47 +36,32 @@ from repro.crypto.nike import shared_key_from_points
 from repro.crypto.params import DomainParams
 from repro.crypto.peks import MultiKeywordPeks, MultiKeywordTag, PeksTrapdoor
 from repro.crypto.rng import HmacDrbg
-from repro.sse.index import SecureIndex, Trapdoor, load_index_cached
+from repro.sse.index import SecureIndex, Trapdoor
 from repro.sse.multiuser import WrappedTrapdoor, unwrap_trapdoor
 from repro.core.protocols.messages import (Envelope, ReplayGuard,
                                            open_envelope, pack_fields, seal,
                                            unpack_fields)
 from repro.core.shard import collection_id_for_tag
-from repro.exceptions import ParameterError, ReproError, StorageError
+from repro.exceptions import ParameterError, StorageError
+
+#: The sixth field of a snapshot's collection entry.  Every stored
+#: collection holds a live index, so this is the only value written, and
+#: an entry carrying any other value is refused on load.
+_INDEX_MODE = b"live"
 
 
 @dataclass
 class StoredCollection:
-    """One pseudonymous PHI collection as the server sees it.
-
-    A collection holds its index either live (``index``) or as the
-    serialized blob the client uploaded (``index_blob``); blob-backed
-    collections are deserialized on demand through the bounded
-    :func:`repro.sse.index.load_index_cached` cache, so hot collections
-    pay the parse once and cold ones cost no deserialized memory.
-    """
+    """One pseudonymous PHI collection as the server sees it."""
 
     collection_id: bytes
-    index: SecureIndex | None
+    index: SecureIndex
     files: dict[bytes, bytes]            # fid -> E′_s ciphertext
     group_secret_d: bytes                # current d (server-side copy)
     broadcast_d: BroadcastCiphertext     # BE_U(d) for privileged entities
-    index_blob: bytes | None = field(default=None, repr=False)
-
-    def resolve_index(self) -> SecureIndex:
-        """The live :class:`SecureIndex` for this collection."""
-        if self.index is not None:
-            return self.index
-        if self.index_blob is None:
-            raise StorageError("collection has neither index nor blob")
-        return load_index_cached(self.index_blob)
 
     def storage_bytes(self) -> int:
-        if self.index_blob is not None:
-            index_bytes = len(self.index_blob)
-        else:
-            index_bytes = self.index.size_bytes()
-        return (index_bytes
+        return (self.index.size_bytes()
                 + sum(len(ct) for ct in self.files.values())
                 + len(self.group_secret_d) + self.broadcast_d.size_bytes())
 
@@ -88,20 +73,6 @@ class StoredMhi:
     role_identity: str
     ciphertext: IbeCiphertext
     tag: MultiKeywordTag
-
-
-@dataclass(frozen=True)
-class SearchRequest:
-    """One OP_SEARCH_BATCH entry as it arrived: the encoded TP_p, the
-    collection id Λ and the serialized envelope.
-
-    The batched handler decodes each request inside its own outcome, so
-    a bad encoding fails only its own entry.
-    """
-
-    pseudonym: bytes
-    collection_id: bytes
-    envelope: bytes
 
 
 @dataclass(frozen=True)
@@ -182,30 +153,6 @@ class StorageServer:
                       b"files=%d" % len(files), now)
         return collection_id
 
-    def handle_store_serialized(self, pseudonym: Point, envelope: Envelope,
-                                index_blob: bytes, files: dict[bytes, bytes],
-                                group_secret_d: bytes,
-                                broadcast_d: BroadcastCiphertext,
-                                now: float) -> bytes:
-        """Accept an upload whose SI travels in serialized form.
-
-        The server keeps the blob verbatim (what it would persist to disk)
-        and deserializes lazily through the index cache at search time.
-        Search results are identical to :meth:`handle_store` with
-        ``SecureIndex.from_bytes(index_blob)``.
-        """
-        key = self.session_key(pseudonym)
-        open_envelope(key, envelope, now, self._guard,
-                      expected_label="phi-store")
-        collection_id = _collection_id_for(envelope)
-        self._collections[collection_id] = StoredCollection(
-            collection_id=collection_id, index=None, files=dict(files),
-            group_secret_d=group_secret_d, broadcast_d=broadcast_d,
-            index_blob=index_blob)
-        self._observe("store", pseudonym.to_bytes(), collection_id,
-                      b"files=%d" % len(files), now)
-        return collection_id
-
     def _collection(self, collection_id: bytes) -> StoredCollection:
         collection = self._collections.get(collection_id)
         if collection is None:
@@ -248,46 +195,18 @@ class StorageServer:
                        collection: StoredCollection,
                        raw_trapdoors: list[bytes], now: float) -> list[bytes]:
         """SEARCH each trapdoor against one collection; fid‖ct results."""
-        index = collection.resolve_index()
         results: list[bytes] = []
         for raw in raw_trapdoors:
             trapdoor = Trapdoor.from_bytes(raw)
             self._observe("search", observed_client,
                           collection.collection_id,
                           trapdoor.address.to_bytes(16, "big"), now)
-            for fid in index.search(trapdoor):
+            for fid in collection.index.search(trapdoor):
                 ciphertext = collection.files.get(fid)
                 if ciphertext is None:
                     raise StorageError("index references a missing file")
                 results.append(fid + ciphertext)
         return results
-
-    def handle_search_each(self, requests: "list[SearchRequest]",
-                           now: float) -> "list[tuple[Envelope | None, Exception | None]]":
-        """Per-request outcomes for the batched wire op (OP_SEARCH_BATCH).
-
-        Each request resolves independently to ``(reply, None)`` or
-        ``(None, exception)``: decoding its pseudonym and envelope,
-        deriving its SOK key and the search itself all happen inside its
-        own outcome, and a reply is byte-identical to
-        :meth:`handle_search` on the same request.  Independence is what
-        lets the federation router splice per-shard sub-batches back
-        together with responses byte-identical to one server handling
-        the whole batch: entry k's outcome depends only on entry k,
-        never on its neighbours.
-        """
-        outcomes: list[tuple[Envelope | None, Exception | None]] = []
-        for req in requests:
-            try:
-                reply = self.handle_search(
-                    Point.from_bytes(req.pseudonym, self.params.curve),
-                    req.collection_id, Envelope.from_bytes(req.envelope),
-                    now)
-            except ReproError as exc:
-                outcomes.append((None, exc))
-            else:
-                outcomes.append((reply, None))
-        return outcomes
 
     def handle_search_shard(self, pseudonym: Point,
                             collection_ids: list[bytes], envelope: Envelope,
@@ -378,7 +297,7 @@ class StorageServer:
             self._observe("search-wrapped", pseudonym.to_bytes(),
                           collection_id,
                           trapdoor.address.to_bytes(16, "big"), now)
-            for fid in collection.resolve_index().search(trapdoor):
+            for fid in collection.index.search(trapdoor):
                 ciphertext = collection.files.get(fid)
                 if ciphertext is None:
                     raise StorageError("index references a missing file")
@@ -475,14 +394,11 @@ class StorageServer:
 
     @staticmethod
     def _serialize_collection(c: StoredCollection) -> bytes:
-        blob = c.index_blob if c.index_blob is not None \
-            else c.index.to_bytes()
         files = pack_fields(*[pack_fields(fid, c.files[fid])
                               for fid in sorted(c.files)])
         return pack_fields(
-            c.collection_id, blob, files, c.group_secret_d,
-            _serialize_broadcast(c.broadcast_d),
-            b"blob" if c.index_blob is not None else b"live")
+            c.collection_id, c.index.to_bytes(), files, c.group_secret_d,
+            _serialize_broadcast(c.broadcast_d), _INDEX_MODE)
 
     # -- shard migration -----------------------------------------------------
     # The federation's rebalance (repro.core.federation) moves whole
@@ -573,20 +489,18 @@ class StorageServer:
 
 
 def _deserialize_collection(entry: bytes) -> StoredCollection:
-    cid, index_blob, files_b, d, bcast_b, mode = \
+    cid, index_b, files_b, d, bcast_b, mode = \
         unpack_fields(entry, expected=6)
+    if mode != _INDEX_MODE:
+        raise StorageError("unsupported collection index mode %r" % mode)
     files = {}
     for chunk in unpack_fields(files_b):
         fid, ciphertext = unpack_fields(chunk, expected=2)
         files[fid] = ciphertext
-    if mode == b"blob":
-        index, stored_blob = None, index_blob
-    else:
-        index, stored_blob = SecureIndex.from_bytes(index_blob), None
     return StoredCollection(
-        collection_id=cid, index=index, files=files, group_secret_d=d,
-        broadcast_d=_deserialize_broadcast(bcast_b),
-        index_blob=stored_blob)
+        collection_id=cid, index=SecureIndex.from_bytes(index_b),
+        files=files, group_secret_d=d,
+        broadcast_d=_deserialize_broadcast(bcast_b))
 
 
 def _serialize_mhi(m: StoredMhi) -> bytes:

@@ -31,8 +31,8 @@ __all__ = [
     "OP_GROUP_UPDATE", "OP_MHI_STORE", "OP_MHI_SEARCH", "OP_XD_HANDSHAKE",
     "OP_XD_SEARCH", "OP_REGISTER_PDEVICE", "OP_EMERGENCY_AUTH",
     "OP_ROLE_KEY", "OP_ASSIGN", "OP_PASSCODE",
-    "OP_SEARCH_BATCH", "OP_SEARCH_MULTI", "OP_SEARCH_SHARD",
-    "OP_SEARCH_MERGE", "OP_MIGRATE_PULL", "OP_MIGRATE_ACK",
+    "OP_SEARCH_MULTI", "OP_SEARCH_SHARD", "OP_SEARCH_MERGE",
+    "OP_MIGRATE_PULL", "OP_MIGRATE_ACK",
     "make_frame", "parse_frame", "ok_response", "error_response",
     "partial_response", "parse_partial",
     "parse_response", "transient_error_in", "encode_files",
@@ -58,8 +58,8 @@ OP_ROLE_KEY = b"role-key"                # §IV.E.2 Γ_r issuance
 OP_ASSIGN = b"assign"                    # §IV.C ASSIGN to an entity
 OP_PASSCODE = b"ibe-passcode"            # §IV.E.2 step 3 (server push)
 
-# Batched / federated search surface.  BATCH and MULTI are public ops a
-# client (or the router, scatter-gathering) may send; SHARD and MERGE
+# Multi-collection / federated search surface.  MULTI is a public op (the
+# client's one trapdoor set over many collections); SHARD and MERGE
 # are the router→shard internal legs of a cross-shard MULTI: SHARD
 # verifies the envelope *without* consuming the replay window and
 # returns raw per-collection chunks, MERGE performs the single guarded
@@ -69,7 +69,6 @@ OP_PASSCODE = b"ibe-passcode"            # §IV.E.2 step 3 (server push)
 # frame whose tag does not verify under the federation-internal key —
 # a client (or a network attacker re-framing a captured envelope)
 # cannot reach the guard-free/raw-chunk paths.
-OP_SEARCH_BATCH = b"phi-search-batch"    # many independent searches
 OP_SEARCH_MULTI = b"phi-search-multi"    # one trapdoor set, many Λ
 OP_SEARCH_SHARD = b"phi-search-shard"    # internal: guard-free sub-search
 OP_SEARCH_MERGE = b"phi-search-merge"    # internal: guarded splice + seal

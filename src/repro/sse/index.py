@@ -265,10 +265,10 @@ def build_secure_index(
 
 
 # ---------------------------------------------------------------------------
-# Deserialization cache: the S-server persists indexes as blobs and pays a
-# full `from_bytes` (FKS rebuild included) on every search of a blob-backed
-# collection.  Cache the deserialized object per blob hash so repeated
-# searches of hot collections skip the parse entirely.
+# Deserialization cache: `from_bytes` (FKS rebuild included) memoised per
+# blob hash, so repeated loads of one serialized index skip the parse.
+# The S-server keeps every stored collection's index live, so no server
+# path calls it; hcppbench still reads `index_cache_stats`.
 #
 # Two deployment realities shape the implementation (federation PR):
 #

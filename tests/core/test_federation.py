@@ -32,11 +32,10 @@ from repro.core.protocols.messages import (Envelope, open_envelope,
 from repro.core.router import RouterEndpoint
 from repro.core.system import build_system
 from repro.exceptions import (AuthenticationError, ParameterError,
-                              RecoveryError, ReplayError, StorageError,
-                              TransportError)
-from repro.net.transport import LoopbackTransport
+                              RecoveryError, ReplayError, TransportError)
+from repro.net.transport import LoopbackTransport, as_transport
 
-from conftest import close_transport, make_transport
+from conftest import BACKENDS, close_transport, make_transport
 
 
 def _fingerprint(stats, files=None):
@@ -173,20 +172,6 @@ def _multi_frame(system, cids, keywords, now):
                            pack_fields(*cids), request.to_bytes())
 
 
-def _batch_frame(system, cids, keywords, now):
-    patient = system.patient
-    entries = []
-    for cid in cids:
-        pseudonym = patient.fresh_pseudonym()
-        nu = patient.session_key_with(system.sserver.identity_key.public,
-                                      pseudonym)
-        trapdoors = [patient.trapdoor(kw).to_bytes() for kw in keywords]
-        request = seal(nu, "phi-retrieve", pack_fields(*trapdoors), now)
-        entries.append(pack_fields(pseudonym.public.to_bytes(), cid,
-                                   request.to_bytes()))
-    return wire.make_frame(wire.OP_SEARCH_BATCH, *entries)
-
-
 class TestFrameParity:
     """Raw frame in, raw response out: router bytes == single-server."""
 
@@ -224,65 +209,6 @@ class TestFrameParity:
         assert frame == fed_frame
         assert single.handle_frame(frame) == router.handle_frame(fed_frame)
 
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_batch_byte_identical_including_errors(self, shards):
-        single_sys, single_net, cids = _stored_deployment(0)
-        fed_sys, fed_net, _ = _stored_deployment(shards)
-        single = single_net.endpoint_at(single_sys.sserver.address)
-        router = fed_net.endpoint_at(fed_sys.sserver.address)
-        # Entry 2 targets an unknown collection: its error must come
-        # back per-entry, byte-identical, without poisoning neighbours.
-        target_cids = [cids[0], cids[1], b"\x00" * 16, cids[2]]
-        frame = _batch_frame(single_sys, target_cids, ["allergies"],
-                             single_net.now)
-        fed_frame = _batch_frame(fed_sys, target_cids, ["allergies"],
-                                 fed_net.now)
-        assert frame == fed_frame
-        single_resp = single.handle_frame(frame)
-        fed_resp = router.handle_frame(fed_frame)
-        assert single_resp == fed_resp
-        entries = unpack_fields(wire.parse_response(fed_resp))
-        assert len(entries) == 4
-        for i, entry in enumerate(entries):
-            if i == 2:
-                with pytest.raises(StorageError):
-                    wire.parse_response(entry)
-            else:
-                wire.parse_response(entry)  # status OK
-
-        # Entry 1's pseudonym is the point at infinity (no SOK key),
-        # entry 2's does not decode, and entry 3's envelope label is not
-        # UTF-8: each fails alone, so the shards consume exactly the
-        # replay tags one server would, and an identical retry answers
-        # identically too.
-        def bad_entries(batch):
-            opcode, fields = wire.parse_frame(batch)
-            for i, pseud_b in ((1, b"\x00"), (2, b"\x04\x01\x02")):
-                _, cid, env_b = unpack_fields(fields[i], expected=3)
-                fields[i] = pack_fields(pseud_b, cid, env_b)
-            pseud_b, cid, env_b = unpack_fields(fields[3], expected=3)
-            _, payload, ts, tag = unpack_fields(env_b, expected=4)
-            fields[3] = pack_fields(pseud_b, cid,
-                                    pack_fields(b"\xff", payload, ts, tag))
-            return wire.make_frame(opcode, *fields)
-
-        frame = bad_entries(_batch_frame(single_sys, cids, ["allergies"],
-                                         single_net.now))
-        fed_frame = bad_entries(_batch_frame(fed_sys, cids, ["allergies"],
-                                             fed_net.now))
-        assert frame == fed_frame
-        single_resp = single.handle_frame(frame)
-        assert single_resp == router.handle_frame(fed_frame)
-        entries = unpack_fields(wire.parse_response(single_resp))
-        assert len(entries) == 5
-        for i, entry in enumerate(entries):
-            if i in (1, 2, 3):
-                with pytest.raises(ParameterError):
-                    wire.parse_response(entry)
-            else:
-                wire.parse_response(entry)  # status OK
-        assert single.handle_frame(frame) == router.handle_frame(fed_frame)
-
     def test_replay_rejected_through_router(self):
         fed_sys, fed_net, cids = _stored_deployment(2)
         router = fed_net.endpoint_at(fed_sys.sserver.address)
@@ -309,6 +235,50 @@ class TestRouterSurface:
         with pytest.raises(TransportError):
             wire.parse_response(router.handle_frame(
                 wire.make_frame(b"no-such-op", b"x")))
+
+    def test_retired_batch_opcode_is_unknown(self):
+        """A frame in the retired ``phi-search-batch`` shape gets the
+        same "unknown opcode" refusal from one server and from a
+        router, and no envelope in it is opened."""
+        single_sys, single_net, cids = _stored_deployment(0)
+        fed_sys, fed_net, _ = _stored_deployment(2)
+        single = single_net.endpoint_at(single_sys.sserver.address)
+        router = fed_net.endpoint_at(fed_sys.sserver.address)
+
+        def entries(system, net):
+            return [pack_fields(*wire.parse_frame(_search_frame(
+                        system, cid, ["allergies"], net.now))[1])
+                    for cid in cids[:2]]
+
+        single_entries = entries(single_sys, single_net)
+        assert single_entries == entries(fed_sys, fed_net)
+        frame = wire.make_frame(b"phi-search-batch", *single_entries)
+        response = single.handle_frame(frame)
+        assert response == router.handle_frame(frame)
+        with pytest.raises(TransportError, match="unknown opcode"):
+            wire.parse_response(response)
+        # The refusal consumed no replay tag: each entry still serves
+        # as an OP_SEARCH, identically on both deployments.
+        for entry in single_entries:
+            search = wire.make_frame(wire.OP_SEARCH, *unpack_fields(entry))
+            response = single.handle_frame(search)
+            wire.parse_response(response)
+            assert response == router.handle_frame(search)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_retired_batch_opcode_fails_typed_for_a_client(self, backend):
+        system = build_system(seed=b"federation-parity")
+        net = as_transport(make_transport(backend, system))
+        try:
+            bind_federated_sserver(net, system.sserver, 2)
+            response = net.request(
+                system.patient.address, system.sserver.address,
+                wire.make_frame(b"phi-search-batch", b"x"),
+                "phi/search-batch")
+            with pytest.raises(TransportError, match="unknown opcode"):
+                wire.parse_response(response)
+        finally:
+            close_transport(net)
 
     def test_requires_at_least_one_shard(self):
         with pytest.raises(ParameterError):
@@ -623,24 +593,3 @@ class TestRebalance:
         system, net, federation, _ = self._deployment(1)
         with pytest.raises(ParameterError, match="last shard"):
             federation.remove_shard()
-
-
-class TestBatchDuplicateTags:
-    """Cross-shard replay defence: one batch carrying the same envelope
-    twice is refused before any leg runs (two copies would otherwise
-    scatter to different shards and each pass a local replay guard)."""
-
-    def test_duplicate_envelope_tag_rejected(self):
-        fed_sys, fed_net, cids = _stored_deployment(4)
-        router = fed_net.endpoint_at(fed_sys.sserver.address)
-        frame = _batch_frame(fed_sys, [cids[0], cids[1]], ["allergies"],
-                             fed_net.now)
-        opcode, entries = wire.parse_frame(frame)
-        doubled = wire.make_frame(opcode, entries[0], entries[1],
-                                  entries[0])
-        with pytest.raises(ReplayError, match="duplicate envelope tag"):
-            wire.parse_response(router.handle_frame(doubled))
-        # The refusal consumed nothing: the original batch still runs.
-        for entry in unpack_fields(
-                wire.parse_response(router.handle_frame(frame))):
-            wire.parse_response(entry)

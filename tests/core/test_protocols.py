@@ -39,8 +39,8 @@ class TestPrivatePhiStorage:
         blob = b"".join(collection.files.values())
         assert b"penicillin" not in blob
         assert b"alice" not in blob
-        index_blob = b"".join(collection.index.array)
-        assert b"allergies" not in index_blob
+        index_array = b"".join(collection.index.array)
+        assert b"allergies" not in index_array
 
     def test_reupload_after_update(self, stored_system):
         """The paper's update path: re-run the storage protocol."""

@@ -20,7 +20,7 @@ from repro.core.federation import bind_federated_sserver
 from repro.core.protocols.base import with_policies
 from repro.core.protocols.emergency import (family_based_retrieval,
                                             pdevice_emergency_retrieval)
-from repro.core.protocols.messages import pack_fields, seal, unpack_fields
+from repro.core.protocols.messages import pack_fields, seal
 from repro.core.protocols.mhi import (mhi_retrieve, mhi_store,
                                       role_identity_for)
 from repro.core.protocols.privilege import (assign_privilege,
@@ -424,20 +424,6 @@ def _multi_frame(system, cids, keywords, now):
                            pack_fields(*cids), request.to_bytes())
 
 
-def _batch_frame(system, cids, keywords, now):
-    patient = system.patient
-    entries = []
-    for cid in cids:
-        pseudonym = patient.fresh_pseudonym()
-        nu = patient.session_key_with(system.sserver.identity_key.public,
-                                      pseudonym)
-        trapdoors = [patient.trapdoor(kw).to_bytes() for kw in keywords]
-        request = seal(nu, "phi-retrieve", pack_fields(*trapdoors), now)
-        entries.append(pack_fields(pseudonym.public.to_bytes(), cid,
-                                   request.to_bytes()))
-    return wire.make_frame(wire.OP_SEARCH_BATCH, *entries)
-
-
 def _single_frame(system, cid, keyword, now):
     patient = system.patient
     pseudonym = patient.fresh_pseudonym()
@@ -537,21 +523,6 @@ class TestDegradedFederation:
             payload, unavailable = wire.parse_partial(response)
             assert unavailable == [victim.encode()]
             assert payload
-
-            # Batch search: per-entry degradation — the dead owner's
-            # entry carries a typed transient error in its slot, the
-            # healthy entry still answers, the response is PARTIAL.
-            frame = _batch_frame(system, [survivor_cid, cids[0]],
-                                 ["allergies"], net.now)
-            response = net.request(system.patient.address, server.address,
-                                   frame, "phi/search-batch")
-            payload, unavailable = wire.parse_partial(response)
-            assert unavailable == [victim.encode()]
-            entries = unpack_fields(payload)
-            assert len(entries) == 2
-            wire.parse_response(entries[0])
-            with pytest.raises(TransientTransportError):
-                wire.parse_response(entries[1])
 
             # Writes routed to the dead owner are never silently
             # dropped nor rerouted: the breaker does not gate
