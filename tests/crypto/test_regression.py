@@ -16,9 +16,9 @@ FIPS/RFC vectors) live elsewhere in the suite.
 
 The pairing-group pins run at SS512 as well as SS160: the Miller walk,
 its line-table replay, the final exponentiation, G2 powers,
-hash-to-G1 and variable-base scalar multiplication are pinned on the
-production curve, over inputs that take every branch of the walk
-(small-order points end it early).
+hash-to-G1, variable- and fixed-base scalar multiplication and a fresh
+pseudonym with its ν are pinned on the production curve, over inputs
+that take every branch of the walk (small-order points end it early).
 """
 
 import hashlib
@@ -383,6 +383,42 @@ class TestSs512Pins:
                   for base in bases for scalar in scalars]
         assert _digest(values) == MUL_512_PIN
 
+    def test_fixed_base_mul_pinned(self, ss512):
+        """``PrecomputedPoint.multiply`` over the G1 bases and the lifted
+        point N of :meth:`test_point_mul_pinned`, with its scalars: the
+        same bytes as ``Point.__mul__``."""
+        from repro.crypto.precompute import PrecomputedPoint
+        curve = ss512.curve
+        n = curve.r * curve.h
+        k = 0xB5AD4ECEDA1CE2A9C0FFEE1234567890ABCDEF01
+        scalars = [0, 1, -1, 2, 3, k, -k, curve.h, -curve.h, curve.r - 1,
+                   curve.r, curve.r + 1, n - 1, n, n + 5]
+        values = []
+        for base in (ss512.G, ss512.H, ss512.N):
+            table = PrecomputedPoint(base)
+            for scalar in scalars:
+                product = table.multiply(scalar).to_bytes()
+                assert product == (base * scalar).to_bytes()
+                values.append(product)
+        assert _digest(values) == FIXED_BASE_512_PIN
+
+    def test_pseudonym_and_session_key_pinned(self, ss512):
+        """Fresh SS512 pseudonyms (TP′, Γ′) and ν, from both sides."""
+        from repro.core.system import build_system
+
+        system = build_system(seed=b"pseudonym-pin-512",
+                              params=ss512.params)
+        patient, server = system.patient, system.sserver
+        chunks = []
+        for _ in range(3):
+            pseudonym = patient.fresh_pseudonym()
+            nu = patient.session_key_with(server.identity_key.public,
+                                          pseudonym)
+            assert server.session_key(pseudonym.public) == nu
+            chunks += [pseudonym.public.to_bytes(),
+                       pseudonym.private.to_bytes(), nu]
+        assert _digest(chunks) == PSEUDONYM_512_PIN
+
 
 class TestUploadCosts:
     """Counted costs of the patient's upload path (the values above pin
@@ -458,3 +494,5 @@ H1_512_PIN = "b9e6a9deda7ce7655d0678dbb5fc636bd1fa39a282fb031e43fd68cb024d929b"
 FULL_IDENT_512_PIN = "e22dedcf1681f52ce8cc387197987703311ba343e29c5cf1fd5e90a02a5fc603"
 IBS_512_PIN = "008fd20a94576d7452c8ba4b3fda26b57814a7f743f60b6b7eeeb5181302bf45"
 MUL_512_PIN = "c5db87c68eba3d371acbd4a1be90359b20fb3ff0167fe40ec289a4dbc02fea25"
+FIXED_BASE_512_PIN = "2b549256d37c7e16e9b2676d64523b16d1e0eea3817679dff8d1ef0958d3366e"
+PSEUDONYM_512_PIN = "52c50c0b7f36eb0213f3d45d476c78fdc7073ace1e2886fa412b28a02b4e507a"
