@@ -141,10 +141,10 @@ def test_ibs_verify_ss512(benchmark):
 
 
 def test_scalar_mult_precomputed_ss512(benchmark):
-    """Fixed-base windowed tables vs the generic ladder (same scalar as above).
+    """The fixed-base comb vs the generic ladder (same scalar as above).
 
-    The ISSUE target is ≥3× over ``Point.__mul__`` at SS512; the one-time
-    table build is excluded (it amortizes over the key lifetime).
+    The target is ≥3× over ``Point.__mul__`` at SS512; the one-time comb
+    build is excluded (it amortizes over the key lifetime).
     """
     G = SS512.generator
     scalar = (1 << 159) + 12345

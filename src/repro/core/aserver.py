@@ -30,11 +30,12 @@ from repro.crypto.nike import StaticKeyCache
 from repro.crypto.params import DomainParams
 from repro.crypto.pseudonym import TemporaryKeyPair, issue_temporary_pair
 from repro.crypto.rng import HmacDrbg
-from repro.core.accountability import TraceRecord, rd_message
+from repro.core.accountability import TraceRecord, rd_message, tr_message
 from repro.core.auditlog import AuditLog
-from repro.core.protocols.messages import pack_fields, ts_ms, unpack_fields
+from repro.core.protocols.messages import (DEFAULT_MAX_SKEW_S, pack_fields,
+                                           ts_ms, unpack_fields)
 from repro.exceptions import (AccessDenied, AuthenticationError,
-                              ParameterError)
+                              ParameterError, ReplayError)
 
 NOUNCE_BYTES = 16  # the paper spells it "nounce"; we keep its name
 
@@ -140,19 +141,24 @@ class StateAServer:
                                now: float) -> PasscodeIssue:
         """Verify the physician's signed request; issue the one-time passcode.
 
-        Checks, in order: the IBS on (ID_i ‖ m′ ‖ t10); the on-duty roster;
-        P-device registration.  On success, generates the nounce, prepares
-        both responses, and records the TR.
+        Checks, in order: the freshness of t10 against this server's
+        clock; the IBS on (ID_i ‖ m′ ‖ t10); the on-duty roster; P-device
+        registration.  On success, generates the nounce, prepares both
+        responses, and records the TR.
         """
         # Quantize to the millisecond wire resolution: every signed/stored
         # artifact then derives from the exact double a remote decoder
         # reconstructs, so signatures survive serialization.
         t_request = ts_ms(t_request) / 1000.0
         now = ts_ms(now) / 1000.0
-        message = pack_fields(physician_id.encode(), request,
-                              ts_ms(t_request).to_bytes(8, "big"))
+        if abs(now - t_request) > DEFAULT_MAX_SKEW_S:
+            raise ReplayError(
+                "stale passcode request from %r: sent %.1f, now %.1f "
+                "(skew limit %.0fs)" % (physician_id, t_request, now,
+                                        DEFAULT_MAX_SKEW_S))
         if not ibs_verify(self.params, self.public_key, physician_id,
-                          message, signature):
+                          tr_message(physician_id, request, t_request),
+                          signature):
             raise AuthenticationError(
                 "physician %r: bad signature on passcode request"
                 % physician_id)

@@ -28,6 +28,7 @@ from repro.crypto.modes import AuthenticatedCipher
 from repro.crypto.peks import MultiKeywordTag, PeksTrapdoor
 from repro.sse.index import SecureIndex
 from repro.core import wire
+from repro.core.accountability import tr_message
 from repro.core.aserver import StateAServer
 from repro.core.entities import AssignPackage, PDevice, _PrivilegedEntity
 from repro.core.protocols.messages import (Envelope, ReplayGuard,
@@ -432,7 +433,8 @@ class AServerEndpoint(Endpoint):
         # Emergency-auth is NOT idempotent (each run mints a fresh
         # nounce and overwrites the outstanding one), so duplicate
         # deliveries from a faulty network must be absorbed here: the
-        # physician's signed (request, t10) doubles as the replay token.
+        # signed message ID_i ‖ m′ ‖ t10 doubles as the replay token.
+        # The signature's bytes cannot: u + (0, 0) verifies like u.
         self._auth_guard = ReplayGuard()
         self._ops = {
             wire.OP_REGISTER_PDEVICE: self._op_register,
@@ -469,11 +471,14 @@ class AServerEndpoint(Endpoint):
 
     def _op_emergency_auth(self, fields: list[bytes]) -> bytes:
         pid_b, request, t_req_b, sig_b, pd_b = self._expect(fields, 5)
-        if self._auth_guard.seen(sig_b):
+        physician_id = pid_b.decode()
+        t_request = wire.ts_from_bytes(t_req_b)
+        token = tr_message(physician_id, request, t_request)
+        if self._auth_guard.seen(token):
             raise ReplayError("duplicate emergency-auth request")
         curve = self.aserver.params.curve
         issue = self.aserver.authenticate_emergency(
-            pid_b.decode(), request, wire.ts_from_bytes(t_req_b),
+            physician_id, request, t_request,
             IbsSignature.from_bytes(sig_b, curve),
             Point.from_bytes(pd_b, curve), self.now)
         # Step 3 rides to the registered P-device "simultaneously" with
@@ -495,8 +500,8 @@ class AServerEndpoint(Endpoint):
         # Remember only after the push succeeded: a client retrying a
         # transiently-failed push must be able to re-present the frame.
         self._auth_guard.check_and_remember(Envelope(
-            label="emergency-auth", payload=b"",
-            timestamp=wire.ts_from_bytes(t_req_b), tag=sig_b))
+            label="emergency-auth", payload=b"", timestamp=t_request,
+            tag=token))
         return pack_fields(issue.encrypted_for_physician,
                            issue.physician_signature.to_bytes(),
                            wire.ts_to_bytes(issue.t_issue))

@@ -32,7 +32,7 @@ from repro.crypto.ec import Point
 from repro.crypto.ibe import IbeCiphertext, IdentityKeyPair
 from repro.crypto.hashes import h1_identity
 from repro.crypto.modes import AuthenticatedCipher
-from repro.crypto.nike import shared_key_from_points
+from repro.crypto.nike import StaticKeyCache
 from repro.crypto.params import DomainParams
 from repro.crypto.peks import MultiKeywordPeks, MultiKeywordTag, PeksTrapdoor
 from repro.crypto.rng import HmacDrbg
@@ -118,11 +118,21 @@ class StorageServer:
         self.observations: list[Observation] = []
         self._observe_lock = threading.Lock()
         self.deleted_abnormal = 0  # DoS countermeasure counter (§VI.D)
+        # ν per client point, derived once (memory only, never snapshotted).
+        self._session_keys = StaticKeyCache()
 
     # -- key derivation -----------------------------------------------------
     def session_key(self, client_public: Point) -> bytes:
-        """ν (or ρ) = KDF(ê(Γ_S, client_public)) — SOK, no messages."""
-        return shared_key_from_points(self.identity_key.private, client_public)
+        """ν (or ρ) = KDF(ê(Γ_S, client_public)) — SOK, no messages.
+
+        A package pseudonym TP_p comes back in both requests of a family
+        or P-device exchange, in the P-device's MHI store and in every
+        later retrieval, and a role key in every search of its window, so
+        ν is kept per (Γ_S, client point).  A fresh pseudonym misses and
+        pays the pairing as before.
+        """
+        return self._session_keys.get(self.identity_key.private,
+                                      client_public)
 
     def _observe(self, kind: str, pseudonym: bytes, collection_id: bytes,
                  detail: bytes, now: float) -> None:

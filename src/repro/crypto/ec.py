@@ -12,8 +12,10 @@ Two point representations are provided:
   used at API boundaries and in tests.
 * Jacobian-coordinate helpers (:func:`jacobian_double`,
   :func:`jacobian_add`, :func:`jacobian_add_affine`) — inversion-free
-  arithmetic for the fixed-base tables of :mod:`repro.crypto.precompute`.
-  The pairing module has its own fused Miller-loop arithmetic.
+  arithmetic for the fixed-base combs of :mod:`repro.crypto.precompute`
+  (doublings and mixed additions; the general :func:`jacobian_add` is
+  the reference double-and-add of the tests and benchmarks).  The
+  pairing module has its own fused Miller-loop arithmetic.
 
 Every variable-base multiplication (:meth:`Point.__mul__`, hence also
 the cofactor multiplication of hashing to G1) is the x-only Montgomery
@@ -209,6 +211,9 @@ class Point:
             raise ParameterError("bad point encoding")
         x = mathutil.bytes_to_int(data[1:1 + length])
         y = mathutil.bytes_to_int(data[1 + length:])
+        # One point, one encoding: x + p would otherwise decode as x.
+        if x >= curve.p or y >= curve.p:
+            raise ParameterError("non-canonical point encoding")
         return cls(x, y, curve)
 
     def distort(self) -> tuple[Fp2Element, Fp2Element]:
@@ -283,7 +288,7 @@ def jacobian_add_affine(p1: Jacobian, x2: int, y2: int, p: int) -> Jacobian:
 
     Specialising :func:`jacobian_add` to a unit second Z saves four field
     multiplications per addition — the common case when accumulating
-    precomputed table entries, which are stored in affine form.
+    comb entries, which are stored in affine form.
     """
     x1, y1, z1 = p1
     if z1 == 0:

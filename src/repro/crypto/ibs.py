@@ -20,6 +20,9 @@ Acceleration (all output-equivalent to the textbook formulas):
   system point with a public identity, so both come from the memo of
   :func:`repro.crypto.pairing.identity_pairing` (the pairing is
   symmetric, so the system point takes the prepared first slot).
+* Signing multiplies the signer's long-lived S_ID and H1(ID) through
+  their fixed-base combs (:func:`repro.crypto.precompute.fixed_base_mul`),
+  built on a signer's first signature and reused for every later one.
 * Verification computes r' = ê(P, u) · ê(P_pub, PK)^(−v): one prepared
   pairing and one G2 power, where the textbook form ê(u, P)·ê(−v·PK,
   P_pub) spends a scalar multiplication and a second Miller loop.
@@ -35,6 +38,7 @@ from repro.crypto.hashes import h1_identity, h_to_scalar
 from repro.crypto.ibe import IdentityKeyPair
 from repro.crypto.pairing import identity_pairing, prepared
 from repro.crypto.params import DomainParams
+from repro.crypto.precompute import fixed_base_mul
 from repro.crypto.rng import HmacDrbg
 from repro.exceptions import SignatureError
 
@@ -73,7 +77,7 @@ def sign(params: DomainParams, key: IdentityKeyPair, message: bytes,
     k = params.random_scalar(rng)
     r = identity_pairing(params.generator, key.public) ** k
     v = h_to_scalar(params, b"hess-ibs", message, r.to_bytes())
-    u = key.private * v + key.public * k
+    u = fixed_base_mul(key.private, v) + fixed_base_mul(key.public, k)
     return IbsSignature(u=u, v=v)
 
 

@@ -14,11 +14,15 @@ The pairing is symmetric, so either point may go first; the long-lived
 one does, because the first argument is the one whose Miller loop is
 prepared and cached (see :func:`shared_key_from_points`).
 
-ν pairs a fresh pseudonym and is new every time.  ϖ, by contrast, is
-*static*: it depends only on two identity keys, so the physician and
-the A-server each derive it once per peer and keep it in a
+ϖ is *static*: it depends only on two identity keys, so the physician
+and the A-server each derive it once per peer and keep it in a
 :class:`StaticKeyCache` on their long-lived object (memory only; it is
-never journaled or snapshotted).
+never journaled or snapshotted).  ν and ρ are not static for the
+patient, whose every upload or search carries a fresh pseudonym, but
+the S-server sees the same client point again and again: a family
+member's or P-device's package pseudonym TP_p in each request of an
+exchange and in later ones, and a role key PK_r in every search of its
+window.  The S-server keeps them in a :class:`StaticKeyCache` too.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ def shared_key(my_key: IdentityKeyPair, their_public: Point) -> bytes:
 
 
 class StaticKeyCache:
-    """Static SOK keys of one long-lived party, derived once per peer.
+    """SOK keys of one long-lived party, derived once per peer point.
 
     Keyed by (own private point, peer public point), so an identity key
     that is replaced can never return the old key.  A bounded, locked

@@ -96,11 +96,11 @@ class DomainParams:
         return rng.randint(1, self.r - 1)
 
     def point_mul_generator(self, scalar: int) -> Point:
-        """scalar · P for the domain generator, via the fixed-base tables.
+        """scalar · P for the domain generator, via its fixed-base comb.
 
         Identical output to ``self.generator * scalar``; the first call
-        builds (and registers) the generator's windowed table, every later
-        call is addition-only.
+        builds (and registers) the generator's comb, every later call
+        reuses it.
         """
         from repro.crypto.precompute import fixed_base_mul
         return fixed_base_mul(self.generator, scalar)

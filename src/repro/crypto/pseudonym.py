@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from repro.crypto.ec import Point
 from repro.crypto.params import DomainParams
+from repro.crypto.precompute import fixed_base_mul
 from repro.crypto.rng import HmacDrbg
 from repro.exceptions import ParameterError
 
@@ -58,8 +59,13 @@ def issue_temporary_pair(params: DomainParams, master_secret: int,
 
 def self_generate(pair: TemporaryKeyPair, params: DomainParams,
                   rng: HmacDrbg) -> TemporaryKeyPair:
-    """Patient-side derivation of a fresh unlinkable pair TP′=ρTP, Γ′=ρΓ."""
+    """Patient-side derivation of a fresh unlinkable pair TP′=ρTP, Γ′=ρΓ.
+
+    The pool pair is long-lived, so both products go through its
+    fixed-base combs.
+    """
     if pair.public.is_infinity:
         raise ParameterError("cannot derive from the infinity pair")
     rho = params.random_scalar(rng)
-    return TemporaryKeyPair(public=pair.public * rho, private=pair.private * rho)
+    return TemporaryKeyPair(public=fixed_base_mul(pair.public, rho),
+                            private=fixed_base_mul(pair.private, rho))

@@ -1,19 +1,27 @@
-"""Static SOK keys: ϖ is derived once per peer and kept in memory.
+"""SOK keys derived once per peer point and kept in memory.
 
-The physician's ``session_key_with`` and the A-server's ϖ for each
-physician come from a bounded per-object map; each cached key must equal
-a fresh ``shared_key_from_points`` and may never outlive the identity
-key it was derived from.
+The physician's ``session_key_with``, the A-server's ϖ for each
+physician and the S-server's ν (or ρ) for each client point come from a
+bounded per-object map; each cached key must equal a fresh
+``shared_key_from_points`` and may never outlive the identity key it was
+derived from.
 """
 
 import pytest
 
+from repro.core import dispatch, wire
 from repro.core.aserver import StateAServer
 from repro.core.entities import Physician
+from repro.core.protocols.emergency import family_based_retrieval
+from repro.core.protocols.messages import seal
+from repro.core.protocols.retrieval import common_case_retrieval
 from repro.crypto import nike
 from repro.crypto.hashes import h1_identity
 from repro.crypto.nike import StaticKeyCache, shared_key_from_points
+from repro.crypto.pairing import PreparedPairing
 from repro.crypto.rng import HmacDrbg
+from repro.exceptions import ReplayError
+from repro.net.transport import as_transport
 
 
 @pytest.fixture()
@@ -95,3 +103,89 @@ class TestEntities:
         before = aserver.export_state()
         aserver._omega("dr-snapshot")
         assert aserver.export_state() == before
+
+
+@pytest.fixture()
+def server_pairings(monkeypatch):
+    """The client points the S-server pairs Γ_S with, in call order."""
+    calls = []
+    pair = PreparedPairing.pair
+
+    def spy(self, Q):
+        calls.append((self.point, Q))
+        return pair(self, Q)
+
+    monkeypatch.setattr(PreparedPairing, "pair", spy)
+    return calls
+
+
+def _of(calls, server):
+    gamma = server.identity_key.private
+    return [q for prepared_point, q in calls if prepared_point == gamma]
+
+
+class TestSServerSessionKeys:
+    def test_repeated_package_pseudonym_skips_the_pairing(
+            self, privileged_system, server_pairings):
+        """OP_GET_BROADCAST then OP_SEARCH_WRAPPED, twice over: only the
+        first request of the first exchange pairs."""
+        system = privileged_system
+        server, family = system.sserver, system.family
+        transport = system.network
+        for _ in range(2):
+            result = family_based_retrieval(family, server, transport,
+                                            ["cardiology"])
+            assert result.files
+        assert len(_of(server_pairings, server)) <= 1
+        pseudonym = family.package.pseudonym.public
+        assert server.session_key(pseudonym) == shared_key_from_points(
+            server.identity_key.private, pseudonym)
+
+    def test_replay_with_cached_key_still_refused(self, privileged_system):
+        system = privileged_system
+        server, family = system.sserver, system.family
+        transport = as_transport(system.network)
+        family_based_retrieval(family, server, transport, ["cardiology"])
+        package = family.package
+        frame = wire.make_frame(
+            wire.OP_GET_BROADCAST, package.pseudonym.public.to_bytes(),
+            package.collection_id,
+            seal(package.nu, "emergency/get-d", b"m:request-broadcast",
+                 transport.now).to_bytes())
+        endpoint = dispatch.bind_sserver(transport, server)
+        assert wire.parse_response(endpoint.handle_frame(frame))
+        with pytest.raises(ReplayError):
+            wire.parse_response(endpoint.handle_frame(frame))
+
+    def test_replaced_identity_key_is_not_served_stale(self, system,
+                                                       params):
+        server = system.sserver
+        client = params.generator * 4242
+        old = server.session_key(client)
+        server.identity_key = system.state.enroll("sserver:replacement")
+        fresh = server.session_key(client)
+        assert fresh != old
+        assert fresh == shared_key_from_points(server.identity_key.private,
+                                               client)
+
+    def test_bounded_and_never_exported(self, stored_system, params):
+        server = stored_system.sserver
+        cids, roles = server.held_keys()
+        state = server.export_state()
+        partition = server.export_partition(cids, roles)
+        for k in range(1, StaticKeyCache.CAPACITY + 6):
+            server.session_key(params.generator * k)
+        assert StaticKeyCache.CAPACITY == 64
+        assert len(server._session_keys) == StaticKeyCache.CAPACITY
+        assert server.export_state() == state
+        assert server.export_partition(cids, roles) == partition
+
+    def test_fresh_pseudonyms_never_hit(self, stored_system,
+                                        server_pairings):
+        system = stored_system
+        server = system.sserver
+        transport = system.network
+        for searches in range(1, 4):
+            common_case_retrieval(system.patient, server, transport,
+                                  ["allergies"])
+            assert len(_of(server_pairings, server)) == searches

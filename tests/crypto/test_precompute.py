@@ -1,6 +1,7 @@
 """Fixed-base precomputation: byte-identical to generic scalar mult."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.ec import Point
 from repro.crypto.params import test_params as _test_params
@@ -74,8 +75,73 @@ class TestPrecomputedPoint:
 
     def test_table_size(self):
         table = PrecomputedPoint(G, window=4)
-        windows = -(-R.bit_length() // 4)
-        assert table.table_entries() == windows * 15
+        assert table.table_entries() == 2 ** 4 - 1
+
+
+N_ORDER = PARAMS.curve.r * PARAMS.curve.h
+
+
+def _lift(x):
+    """The first curve point with x-coordinate ≥ x (mod p)."""
+    while True:
+        point = Point.from_x(x % P_FIELD, PARAMS.curve)
+        if point is not None:
+            return point
+        x += 1
+
+
+def _torsion(order, start):
+    """A point whose order divides ``order`` (≠ O)."""
+    x = start
+    while True:
+        candidate = _lift(x) * (N_ORDER // order)
+        if not candidate.is_infinity:
+            return candidate
+        x += 1
+
+
+WIDTHS = list(range(2, 9))
+comb_scalars = st.lists(st.integers(min_value=-2 * N_ORDER,
+                                    max_value=2 * N_ORDER),
+                        min_size=1, max_size=4)
+g1_bases = st.integers(min_value=1, max_value=R - 1).map(lambda a: G * a)
+off_g1_bases = (st.integers(min_value=0, max_value=P_FIELD - 1).map(_lift)
+                .filter(lambda point: not point.is_in_subgroup()))
+
+
+class TestComb:
+    """The comb against ``Point.__mul__`` at every width, k in [−2n, 2n]
+    with n = r·h."""
+
+    @pytest.mark.parametrize("window", WIDTHS)
+    @given(base=g1_bases, ks=comb_scalars)
+    @settings(max_examples=15, deadline=None)
+    def test_g1_bases(self, window, base, ks):
+        table = PrecomputedPoint(base, window=window)
+        assert table.order == R
+        for k in ks:
+            assert table.multiply(k).to_bytes() == (base * k).to_bytes()
+
+    @pytest.mark.parametrize("window", WIDTHS)
+    @given(base=off_g1_bases, ks=comb_scalars)
+    @settings(max_examples=15, deadline=None)
+    def test_bases_outside_g1(self, window, base, ks):
+        table = PrecomputedPoint(base, window=window)
+        assert table.order == N_ORDER
+        for k in ks:
+            assert table.multiply(k).to_bytes() == (base * k).to_bytes()
+
+    @pytest.mark.parametrize("window", WIDTHS)
+    def test_small_order_bases(self, window):
+        # Comb entries of a small-order base vanish (T[i] = O); they are
+        # kept as empty slots, never normalised.
+        bases = [Point(0, 0, PARAMS.curve), _torsion(4, 2), _torsion(5, 2),
+                 _torsion(100, 2), _torsion(PARAMS.curve.h, 11)]
+        for base in bases:
+            table = PrecomputedPoint(base, window=window)
+            for k in (0, 1, 2, 3, 4, 5, 99, 100, 101, -7, N_ORDER - 1,
+                      N_ORDER + 3):
+                assert table.multiply(k) == base * k, (base, k)
 
 
 class TestRegistry:
