@@ -39,7 +39,7 @@ from repro.sse.index import SecureIndex, Trapdoor
 from repro.sse.multiuser import (PrivilegeManager, WrappedTrapdoor,
                                  recover_d, wrap_trapdoor)
 from repro.sse.scheme import Sse1Scheme, SseKeys, keygen
-from repro.core.accountability import DeviceRecord
+from repro.core.accountability import DeviceRecord, tr_message
 from repro.core.protocols.messages import ReplayGuard, pack_fields, ts_ms
 from repro.exceptions import AccessDenied, ParameterError, SearchError
 
@@ -420,9 +420,9 @@ class Physician:
     def sign_passcode_request(self, request: bytes,
                               t_request: float) -> IbsSignature:
         """Step 1 of §IV.E.2: IBS_Γi(ID_i ‖ m′ ‖ t10)."""
-        message = pack_fields(self.physician_id.encode(), request,
-                              ts_ms(t_request).to_bytes(8, "big"))
-        return ibs_sign(self.params, self.identity_key, message, self.rng)
+        return ibs_sign(self.params, self.identity_key,
+                        tr_message(self.physician_id, request, t_request),
+                        self.rng)
 
     def session_key_with(self, other_public: Point) -> bytes:
         """ϖ (or ρ) via SOK with my own private key, derived once per peer."""
