@@ -4,11 +4,14 @@ Runs every HCPP protocol over the simulated-network transport, records
 its message count, byte total, and median wall-clock serving time, and
 compares one retrieval across the three transport backends (loopback /
 simulator / async TCP) to price the dispatch boundary itself.  A
-sustained-throughput section then drives the asyncio multiplexed
-backend at 1/8/64/256 concurrent clients, one serial client being the
-baseline — frames/sec and p50/p99 latency per leg.  Appends a run entry
-to a trajectory JSON file (default ``BENCH_protocols.json`` at the repo
-root).
+sustained-throughput section then drives the multiplexed TCP backend
+(``AsyncTransport``) at 1/8/64/256 concurrent clients, one serial
+client being the baseline — frames/sec and p50/p99 latency per leg —
+and a paced leg sends one echo every 20 ms to a handler that burns
+~3 ms of CPU, the shape of the paper's request/reply chains, and
+reports the time each round spends outside the handler.  Every echo is
+checked against its request.  Appends a run entry to a trajectory JSON
+file (default ``BENCH_protocols.json`` at the repo root).
 
 Usage::
 
@@ -25,6 +28,7 @@ import statistics
 import time
 from pathlib import Path
 
+from repro.core import wire
 from repro.core.protocols.emergency import (family_based_retrieval,
                                             pdevice_emergency_retrieval)
 from repro.core.protocols.mhi import (mhi_retrieve, mhi_store,
@@ -42,6 +46,15 @@ from repro.net.transport import (AsyncTransport, FaultPolicy,
 WORKLOAD_FILES = 10
 CHAOS_DROP_RATE = 0.05
 CHAOS_DUP_RATE = 0.02
+ECHO_PAYLOAD_BYTES = 256
+# The paced leg: one echo every PACED_INTERVAL_MS, its handler burning
+# the CPU for about as long as a lookup's S-server pairing, for
+# PACED_DURATION_FACTOR x --throughput-duration seconds (250 frames at
+# the default 1 s) and never fewer than PACED_MIN_FRAMES.
+PACED_INTERVAL_MS = 20
+PACED_BURN_MS = 3
+PACED_DURATION_FACTOR = 5
+PACED_MIN_FRAMES = 50
 
 
 def _fresh_system(seed: bytes, privileged: bool = False,
@@ -183,11 +196,21 @@ from repro.net.transport import AsyncTransport
 
 
 class Echo:
+    """``echo`` answers its payload; ``burn`` spins the CPU for the
+    given milliseconds first and appends its own time in ns."""
+
     def attach(self, transport):
         pass
 
     def handle_frame(self, frame):
-        _opcode, fields = wire.parse_frame(frame)
+        opcode, fields = wire.parse_frame(frame)
+        if opcode == b"burn":
+            started = time.perf_counter_ns()
+            until = started + int(fields[1]) * 1_000_000
+            while time.perf_counter_ns() < until:
+                pass
+            spent = time.perf_counter_ns() - started
+            return wire.ok_response(fields[0] + spent.to_bytes(8, "big"))
         return wire.ok_response(fields[0])
 
 
@@ -201,7 +224,8 @@ while True:
 
 def bench_throughput(duration_s: float,
                      concurrency=(1, 8, 64, 256)) -> dict:
-    """Sustained dispatch throughput of the async mux.
+    """Sustained dispatch throughput of the multiplexed TCP transport,
+    and the carry cost of paced request/reply rounds.
 
     A cheap echo endpoint (256 B payload — dispatch cost, not crypto
     cost) is served from a *separate OS process* and hammered for
@@ -211,17 +235,19 @@ def bench_throughput(duration_s: float,
     traffic, one frame in flight — is the baseline.  Frames/sec plus
     p50/p99 caller-observed latency per leg; ``cpu_count`` is recorded
     because the gain over the serial baseline is largely parallelism —
-    on a one-core box client and server fold onto the same CPU."""
+    on a one-core box client and server fold onto the same CPU.
+
+    Back-to-back echoes never let a thread sleep, so they miss what a
+    paced caller pays to wake the threads on its path.  The paced leg
+    (``bench_paced``) covers that regime on the same server process.
+    Every reply is checked against its request's payload."""
     import contextlib
     import os
     import subprocess
     import sys
     import threading
 
-    from repro.core import wire
     from repro.net.transport import AsyncTransport
-
-    frame = wire.make_frame(b"echo", b"\x5a" * 256)
 
     @contextlib.contextmanager
     def echo_server():
@@ -238,6 +264,7 @@ def bench_throughput(duration_s: float,
 
     def drive(client, n_threads: int) -> dict:
         latencies: list[float] = []
+        failures: list[BaseException] = []
         lock = threading.Lock()
         barrier = threading.Barrier(n_threads + 1)
         deadline = [0.0]
@@ -245,11 +272,14 @@ def bench_throughput(duration_s: float,
         def worker(slot: int) -> None:
             mine = []
             barrier.wait()
-            while time.perf_counter() < deadline[0]:
-                t0 = time.perf_counter()
-                client.request("cli://%d" % slot, "svc://echo", frame,
-                               label="bench")
-                mine.append(time.perf_counter() - t0)
+            try:
+                while time.perf_counter() < deadline[0]:
+                    payload = _payload(slot, len(mine))
+                    t0 = time.perf_counter()
+                    _echo(client, slot, payload)
+                    mine.append(time.perf_counter() - t0)
+            except BaseException as exc:
+                failures.append(exc)
             with lock:
                 latencies.extend(mine)
 
@@ -263,6 +293,8 @@ def bench_throughput(duration_s: float,
         for thread in threads:
             thread.join()
         elapsed = time.perf_counter() - started
+        if failures:
+            raise failures[0]
         ordered = sorted(latencies)
         return {
             "clients": n_threads,
@@ -274,8 +306,8 @@ def bench_throughput(duration_s: float,
         }
 
     def warm_up(client) -> None:
-        for _ in range(50):
-            client.request("cli://warm", "svc://echo", frame, label="bench")
+        for i in range(50):
+            _echo(client, 0, _payload(0, i))
 
     async_mux = {}
     with echo_server() as port:
@@ -287,16 +319,78 @@ def bench_throughput(duration_s: float,
                 async_mux[str(n_threads)] = drive(client, n_threads)
             finally:
                 client.close()
+        paced = bench_paced(port, PACED_DURATION_FACTOR * duration_s)
 
     at_1, at_64 = async_mux.get("1"), async_mux.get("64")
     return {
-        "payload_bytes": 256,
+        "payload_bytes": ECHO_PAYLOAD_BYTES,
         "duration_s": duration_s,
         "cpu_count": os.cpu_count(),
         "async_mux": async_mux,
         "speedup_64_vs_1_client": round(
             at_64["frames_per_s"] / at_1["frames_per_s"], 2)
         if at_1 and at_64 else None,
+        "paced": paced,
+    }
+
+
+def _payload(slot: int, index: int) -> bytes:
+    """A 256 B payload unique to one caller's one request."""
+    return (b"%d:%d:" % (slot, index)).ljust(ECHO_PAYLOAD_BYTES, b"\x5a")
+
+
+def _echo(client, slot: int, payload: bytes, burn_ms: int = 0) -> int:
+    """One echo round; raises unless the reply is ``payload``.  With
+    ``burn_ms`` the handler spins that long first; returns the
+    handler's own time in ns (0 for a plain echo)."""
+    if burn_ms:
+        frame = wire.make_frame(b"burn", payload, b"%d" % burn_ms)
+    else:
+        frame = wire.make_frame(b"echo", payload)
+    reply = wire.parse_response(client.request(
+        "cli://%d" % slot, "svc://echo", frame, label="bench"))
+    echo, spent = ((reply[:-8], int.from_bytes(reply[-8:], "big"))
+                   if burn_ms else (reply, 0))
+    if echo != payload:
+        raise RuntimeError("echo for caller %d came back %r"
+                           % (slot, echo[:32]))
+    return spent
+
+
+def bench_paced(port: int, seconds: float) -> dict:
+    """One client, one echo every ``PACED_INTERVAL_MS`` to a handler
+    that burns ``PACED_BURN_MS`` of CPU: the time each round spends
+    outside the handler, i.e. what the transport adds to a paced
+    request/reply chain (the threads it wakes included)."""
+    from repro.net.transport import AsyncTransport
+
+    frames = max(PACED_MIN_FRAMES, int(seconds * 1e3 / PACED_INTERVAL_MS))
+    client = AsyncTransport()
+    outside, handler = [], []
+    try:
+        client.add_route("svc://echo", "127.0.0.1", port)
+        for i in range(10):
+            _echo(client, 0, _payload(0, i), PACED_BURN_MS)
+        next_at = time.perf_counter()
+        for i in range(frames):
+            next_at += PACED_INTERVAL_MS / 1e3
+            time.sleep(max(0.0, next_at - time.perf_counter()))
+            t0 = time.perf_counter_ns()
+            spent = _echo(client, 0, _payload(0, i), PACED_BURN_MS)
+            outside.append((time.perf_counter_ns() - t0 - spent) / 1e6)
+            handler.append(spent / 1e6)
+    finally:
+        client.close()
+    outside.sort()
+    handler.sort()
+    return {
+        "interval_ms": PACED_INTERVAL_MS,
+        "handler_burn_ms": PACED_BURN_MS,
+        "frames": frames,
+        "handler_ms_p50": round(handler[frames // 2], 3),
+        "outside_handler_ms_p50": round(outside[frames // 2], 3),
+        "outside_handler_ms_p90": round(outside[int(0.9 * (frames - 1))],
+                                        3),
     }
 
 
@@ -447,6 +541,12 @@ def main() -> None:
                                 row["p99_ms"]))
     print("   64-client/1-client speedup: %sx on %d core(s)"
           % (throughput["speedup_64_vs_1_client"], throughput["cpu_count"]))
+    paced = throughput["paced"]
+    print("   paced: 1 echo per %d ms, %.2f ms handler: %.3f ms p50, "
+          "%.3f ms p90 outside the handler (%d frames)"
+          % (paced["interval_ms"], paced["handler_ms_p50"],
+             paced["outside_handler_ms_p50"],
+             paced["outside_handler_ms_p90"], paced["frames"]))
 
     print("== durability: write-ahead journal overhead ==")
     durability = bench_durability(args.iters)

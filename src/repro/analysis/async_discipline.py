@@ -1,10 +1,12 @@
 """async-discipline: coroutines must not block, and loop-owned state
 stays on the loop.
 
-The asyncio transport (PR 7) multiplexes thousands of in-flight frames
-over one event loop thread.  Three mistakes silently destroy that
-concurrency — none of them crash, all of them show up only as tail
-latency under load:
+No module under ``src/`` runs an event loop today (the TCP transport is
+driven by its calling threads); this pass guards coroutine code a
+future change may add.  Code that multiplexes many in-flight frames
+over one event loop thread has three mistakes that silently destroy
+that concurrency — none of them crash, all of them show up only as
+tail latency under load:
 
 * **A blocking call inside ``async def``** (``time.sleep``, raw socket
   I/O, ``os.fsync``, ``subprocess``) parks the *entire* loop, not one

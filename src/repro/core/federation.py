@@ -171,9 +171,13 @@ class Federation:
 
 
 def _make_shard(server: StorageServer, name: str) -> StorageServer:
+    # One ν cache for the whole logical server: the router sends a
+    # client point's requests to different shards (the P-device's MHI
+    # store goes by role, its retrievals by collection).
     return StorageServer(
         name, server.params, server.identity_key,
-        HmacDrbg(b"hcpp-shard/" + name.encode()))
+        HmacDrbg(b"hcpp-shard/" + name.encode()),
+        session_keys=server._session_keys)
 
 
 def _shard_name(server: StorageServer, index: int) -> str:
@@ -186,8 +190,8 @@ def shard_servers(server: StorageServer, n_shards: int) -> list:
     Names and addresses derive from the logical server's
     (``hospital-a`` → ``hospital-a-shard-0`` …), deterministically, so a
     restarted deployment rebuilds the identical ring.  Each shard gets
-    its own domain-separated DRBG; the identity key is shared with the
-    logical server.
+    its own domain-separated DRBG; the identity key and the ν cache are
+    shared with the logical server.
     """
     if n_shards < 1:
         raise ParameterError("a federation needs at least one shard")

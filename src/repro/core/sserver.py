@@ -106,7 +106,8 @@ class StorageServer:
     """An HCPP S-server instance."""
 
     def __init__(self, name: str, params: DomainParams,
-                 identity_key: IdentityKeyPair, rng: HmacDrbg) -> None:
+                 identity_key: IdentityKeyPair, rng: HmacDrbg,
+                 session_keys: StaticKeyCache | None = None) -> None:
         self.name = name
         self.address = "sserver://" + name
         self.params = params
@@ -118,8 +119,11 @@ class StorageServer:
         self.observations: list[Observation] = []
         self._observe_lock = threading.Lock()
         self.deleted_abnormal = 0  # DoS countermeasure counter (§VI.D)
-        # ν per client point, derived once (memory only, never snapshotted).
-        self._session_keys = StaticKeyCache()
+        # ν per client point, derived once (memory only, never
+        # snapshotted).  The shards of one federation share Γ_S, and so
+        # share this cache too (``session_keys``).
+        self._session_keys = (session_keys if session_keys is not None
+                              else StaticKeyCache())
 
     # -- key derivation -----------------------------------------------------
     def session_key(self, client_public: Point) -> bytes:

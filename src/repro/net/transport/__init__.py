@@ -5,7 +5,8 @@ historical signature) or any :class:`Transport`; :func:`as_transport`
 adapts the former.  All three backends speak the same frame bytes, so a
 protocol run is byte-for-byte identical whether dispatch happens by
 function call, through the discrete-event simulator, or pipelined over
-real TCP between OS processes on the asyncio multiplexed backend.
+real TCP between OS processes on the multiplexed backend, which its
+calling threads drive without an event loop.
 """
 
 from repro.net.transport.asyncnet import AsyncTransport

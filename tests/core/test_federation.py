@@ -31,6 +31,7 @@ from repro.core.protocols.messages import (Envelope, open_envelope,
                                            pack_fields, seal, unpack_fields)
 from repro.core.router import RouterEndpoint
 from repro.core.system import build_system
+from repro.crypto.pairing import PreparedPairing
 from repro.exceptions import (AuthenticationError, ParameterError,
                               RecoveryError, ReplayError, TransportError)
 from repro.net.transport import LoopbackTransport, as_transport
@@ -313,6 +314,45 @@ class TestRouterSurface:
         many = RouterEndpoint(
             "sserver://y", ["s://%d" % i for i in range(20)])
         assert many._executor()._max_workers == 16
+
+
+class TestSharedSessionKeys:
+    def test_mhi_store_on_another_shard_pairs_no_more(self, monkeypatch):
+        """The P-device's MHI store routes by role, its retrievals by
+        collection: the shards share the logical server's ν cache, so a
+        store landing on a shard that never saw the package pseudonym
+        still runs no S-server pairing."""
+        system = build_system(seed=b"federation-shared-nu")
+        net = as_transport(system.network)
+        patient, server = system.patient, system.sserver
+        fed = bind_federated_sserver(net, server, 2)
+        patient.add_record(Category.CARDIOLOGY, ["cardiology"],
+                           "Prior MI (2024).", server.address)
+        private_phi_storage(patient, server, net)
+        assign_privilege(patient, system.pdevice, server, net)
+        physician = system.any_physician()
+        system.state.sign_in(physician.hospital, physician.physician_id)
+        assert pdevice_emergency_retrieval(physician, system.pdevice,
+                                           system.state, server, net,
+                                           ["cardiology"]).files
+        home = fed.ring.owner_str(patient.collection_ids[server.address])
+        day = next("2026-07-%02d" % d for d in range(1, 29)
+                   if fed.ring.owner_str(role_identity_for(
+                       "2026-07-%02d" % d).encode()) != home)
+
+        calls = []
+        pair = PreparedPairing.pair
+
+        def spy(self, Q):
+            calls.append((self.point, Q))
+            return pair(self, Q)
+
+        monkeypatch.setattr(PreparedPairing, "pair", spy)
+        mhi_store(system.pdevice, server, system.state.public_key, net,
+                  system.pdevice.vitals.generate_day(day),
+                  role_identity_for(day))
+        gamma = server.identity_key.private
+        assert calls and not [q for point, q in calls if point == gamma]
 
 
 class TestInternalLegAuthentication:

@@ -1,8 +1,8 @@
 """Transport parity: one protocol suite, three interchangeable carriers.
 
 The same seeded deployment is driven through every protocol over the
-in-process loopback, the discrete-event simulator, and the asyncio
-multiplexed backend over real TCP.  Because protocols serialize to
+in-process loopback, the discrete-event simulator, and the multiplexed
+TCP backend.  Because protocols serialize to
 wire frames before any transport touches them, the retrieved plaintext
 AND the per-protocol frame accounting (message count, byte total) must
 be identical across all three backends — the simulator measures exactly

@@ -1,7 +1,7 @@
-"""The asyncio multiplexed backend: TCP routing and failure semantics,
-correlation ids, backpressure, graceful drain, plain-frame interop, and
-the dispatch reentrancy contract under genuinely concurrent handler
-entry."""
+"""The multiplexed TCP backend: TCP routing and failure semantics,
+correlation ids, caller-driven reads, backpressure, connection reuse,
+graceful drain, plain-frame interop, and the dispatch reentrancy
+contract under genuinely concurrent handler entry."""
 
 from __future__ import annotations
 
@@ -272,6 +272,141 @@ class TestAsyncRoundTrip:
                        label="l")
 
 
+class _SpySocket(socket_mod.socket):
+    """A client socket that notes the thread of every write and read."""
+
+    writers: set = set()
+    readers: set = set()
+
+    def sendall(self, data, *args):
+        self.writers.add(threading.get_ident())
+        return super().sendall(data, *args)
+
+    def recv(self, bufsize, *args):
+        if not args:  # a peek at an idle connection is no reply read
+            self.readers.add(threading.get_ident())
+        return super().recv(bufsize, *args)
+
+
+def _asyncnet_threads() -> list:
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("asyncnet")]
+
+
+class TestCallerDrivenReads:
+    """No event loop: callers write their own frames and read replies
+    themselves."""
+
+    def test_lone_caller_writes_and_reads_on_its_own_thread(self,
+                                                            monkeypatch):
+        create_connection = socket_mod.create_connection
+
+        def spying(address, *args, **kwargs):
+            sock = create_connection(address, *args, **kwargs)
+            return _SpySocket(fileno=sock.detach())
+
+        monkeypatch.setattr(_SpySocket, "writers", set())
+        monkeypatch.setattr(_SpySocket, "readers", set())
+        monkeypatch.setattr(socket_mod, "create_connection", spying)
+        server_side = AsyncTransport()
+        client_side = AsyncTransport()
+        try:
+            server_side.bind("svc://a", EchoEndpoint())
+            client_side.add_route("svc://a", "127.0.0.1",
+                                  server_side.port_of("svc://a"))
+            for payload in (b"one", b"two"):
+                response = client_side.request(
+                    "cli://x", "svc://a", wire.make_frame(b"echo", payload),
+                    label="step")
+                assert wire.parse_response(response) == payload
+        finally:
+            client_side.close()
+            server_side.close()
+        caller = threading.get_ident()
+        assert _SpySocket.writers == {caller}
+        assert _SpySocket.readers == {caller}
+
+    def test_no_event_loop_thread_and_none_left_after_close(self):
+        before = set(_asyncnet_threads())
+        client_only = AsyncTransport()
+        assert set(_asyncnet_threads()) == before
+        net = AsyncTransport()
+        try:
+            net.bind("svc://a", EchoEndpoint())
+            client_only.add_route("svc://a", "127.0.0.1",
+                                  net.port_of("svc://a"))
+            for carrier in (net, client_only):
+                carrier.request("cli://x", "svc://a",
+                                wire.make_frame(b"echo", b"t"),
+                                label="step")
+            assert not [thread for thread in _asyncnet_threads()
+                        if thread.name == "asyncnet-loop"]
+        finally:
+            client_only.close()
+            net.close()
+        assert set(_asyncnet_threads()) <= before
+
+
+class _StallingServer:
+    """Hand-rolled peer: reads ``expect`` frames off one connection,
+    then sends half of the first reply and stalls."""
+
+    def __init__(self, expect: int) -> None:
+        self.expect = expect
+        self.done = threading.Event()
+        self._srv = socket_mod.socket()
+        self._srv.bind(("127.0.0.1", 0))
+        self._srv.listen(1)
+        self.port = self._srv.getsockname()[1]
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+
+    def _run(self) -> None:
+        conn, _addr = self._srv.accept()
+        with conn, self._srv:
+            frame_id, _frame = wire.unwrap_corr(_recv_blob(conn))
+            for _ in range(self.expect - 1):
+                _recv_blob(conn)
+            blob = wire.wrap_corr(frame_id, wire.ok_response(b"x" * 64))
+            conn.sendall((len(blob).to_bytes(4, "big") + blob)[:20])
+            self.done.wait(20.0)
+
+
+class TestMidFrameTimeout:
+    def test_breaks_the_connection_for_every_pending_caller(self):
+        callers = 3
+        server = _StallingServer(expect=callers)
+        net = AsyncTransport()
+        net.set_retry_policy(RetryPolicy(max_attempts=1,
+                                         attempt_timeout_s=0.5))
+        net.add_route("svc://stall", "127.0.0.1", server.port)
+        errors: dict[int, BaseException] = {}
+
+        def call(index: int) -> None:
+            try:
+                net.request("cli://%d" % index, "svc://stall",
+                            wire.make_frame(b"echo", b"p%d" % index),
+                            label="step")
+            except TransientTransportError as exc:
+                errors[index] = exc
+
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(callers)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20.0)
+            assert not any(thread.is_alive() for thread in threads)
+            conn = net._conns["svc://stall"]
+        finally:
+            server.done.set()
+            net.close()
+        assert sorted(errors) == list(range(callers))
+        assert conn.broken is not None
+        assert sum("mid-frame" in str(exc) for exc in errors.values()) >= 1
+
+
 class TestSocketTuning:
     """Both ends of every connection disable Nagle (small
     write-then-wait frames must not sit out a delayed ACK), and the
@@ -283,9 +418,8 @@ class TestSocketTuning:
         seen = []
         original = asyncnet._set_nodelay
 
-        def spy(writer):
-            original(writer)
-            sock = writer.get_extra_info("socket")
+        def spy(sock):
+            original(sock)
             seen.append((sock.getsockname(), sock.getpeername(),
                          sock.getsockopt(socket_mod.IPPROTO_TCP,
                                          socket_mod.TCP_NODELAY)))
@@ -308,7 +442,7 @@ class TestSocketTuning:
         net = AsyncTransport()
         try:
             net.bind("svc://a", EchoEndpoint())
-            listener = net._servers[0].sockets[0]
+            listener = net._listeners[0]
             assert listener.getsockopt(socket_mod.SOL_SOCKET,
                                        socket_mod.SO_REUSEADDR)
         finally:
@@ -445,6 +579,154 @@ class TestBackpressure:
         assert peak == window
 
 
+    def test_parked_callers_are_admitted_in_arrival_order(self):
+        endpoint = GateEndpoint()
+        net = AsyncTransport(window=1)
+        results: dict[int, bytes] = {}
+
+        def call(index: int) -> None:
+            response = net.request("cli://%d" % index, "svc://gate",
+                                   wire.make_frame(b"op", b"p%d" % index),
+                                   label="step")
+            results[index] = wire.parse_response(response)
+
+        def wait_for(condition) -> None:
+            deadline = time.time() + 10.0
+            while not condition() and time.time() < deadline:
+                time.sleep(0.005)
+            assert condition()
+
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(5)]
+        try:
+            net.bind("svc://gate", endpoint)
+            threads[0].start()
+            wait_for(lambda: endpoint.entered == [b"p0"])
+            conn = net._conns["svc://gate"]
+            for index in range(1, 5):
+                threads[index].start()
+                wait_for(lambda: len(conn._parked) == index)
+        finally:
+            endpoint.release.set()
+            for thread in threads:
+                thread.join(timeout=20.0)
+            net.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert endpoint.entered == [b"p%d" % i for i in range(5)]
+        assert results == {i: b"p%d" % i for i in range(5)}
+
+
+class TestConnectionReuse:
+    """A cached connection is checked before reuse: a route moved by
+    ``add_route`` or a peer that hung up means a new connection."""
+
+    def _served(self, port: int = 0):
+        server, endpoint = AsyncTransport(), EchoEndpoint()
+        server.bind("svc://a", endpoint, port=port)
+        return server, endpoint
+
+    def _echo(self, client, payload: bytes) -> bytes:
+        return wire.parse_response(client.request(
+            "cli://x", "svc://a", wire.make_frame(b"echo", payload),
+            label="step"))
+
+    def test_request_after_peer_restart_on_new_port(self):
+        old, _ = self._served()
+        client = AsyncTransport()
+        new = None
+        try:
+            client.add_route("svc://a", "127.0.0.1", old.port_of("svc://a"))
+            assert self._echo(client, b"before") == b"before"
+            old.close()
+            new, endpoint = self._served()
+            client.add_route("svc://a", "127.0.0.1", new.port_of("svc://a"))
+            # One attempt, no retry policy: the first request must land.
+            assert self._echo(client, b"after") == b"after"
+            assert endpoint.seen == [wire.make_frame(b"echo", b"after")]
+        finally:
+            client.close()
+            if new is not None:
+                new.close()
+
+    def test_add_route_moves_an_idle_connection_to_a_live_peer(self):
+        old, old_endpoint = self._served()
+        new, new_endpoint = self._served()
+        client = AsyncTransport()
+        try:
+            client.add_route("svc://a", "127.0.0.1", old.port_of("svc://a"))
+            self._echo(client, b"first")
+            client.add_route("svc://a", "127.0.0.1", new.port_of("svc://a"))
+            self._echo(client, b"second")
+        finally:
+            client.close()
+            old.close()
+            new.close()
+        assert [f for f in old_endpoint.seen] == [
+            wire.make_frame(b"echo", b"first")]
+        assert new_endpoint.seen == [wire.make_frame(b"echo", b"second")]
+
+    def test_peer_restarted_on_the_same_port(self):
+        old, _ = self._served()
+        port = old.port_of("svc://a")
+        client = AsyncTransport()
+        new = None
+        try:
+            client.add_route("svc://a", "127.0.0.1", port)
+            self._echo(client, b"before")
+            old.close()
+            new, _ = self._served(port=port)
+            assert self._echo(client, b"after") == b"after"
+        finally:
+            client.close()
+            if new is not None:
+                new.close()
+
+
+class TestStress:
+    def test_many_callers_hand_the_reading_role_around(self):
+        """More callers than cores and than window slots, with a short
+        switch interval: every caller must get exactly its own replies,
+        and the window must never be exceeded."""
+        import sys
+
+        callers, rounds, window = 16, 40, 4
+        server, net = AsyncTransport(), AsyncTransport(window=window)
+        errors: list[BaseException] = []
+
+        def call(index: int) -> None:
+            try:
+                for n in range(rounds):
+                    payload = b"c%d-r%d" % (index, n)
+                    response = net.request(
+                        "cli://%d" % index, "svc://a",
+                        wire.make_frame(b"echo", payload), label="step")
+                    if wire.parse_response(response) != payload:
+                        raise AssertionError("caller %d got %r"
+                                             % (index, response))
+            except BaseException as exc:  # pragma: no cover - fail loud
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call, args=(i,))
+                   for i in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            server.bind("svc://a", EchoEndpoint())
+            net.add_route("svc://a", "127.0.0.1", server.port_of("svc://a"))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            peak = net.peak_in_flight()
+        finally:
+            sys.setswitchinterval(interval)
+            net.close()
+            server.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert 2 <= peak <= window
+
+
 class TestGracefulDrain:
     def test_close_answers_in_flight_frames(self):
         """Frames already pipelined when close() starts still get their
@@ -476,7 +758,17 @@ class TestGracefulDrain:
         closer.join(timeout=20.0)
         for thread in threads:
             thread.join(timeout=20.0)
+        assert not closer.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
         assert results == {i: b"p%d" % i for i in range(3)}
+
+    def test_close_refuses_new_connections(self):
+        net = AsyncTransport()
+        net.bind("svc://a", EchoEndpoint())
+        port = net.port_of("svc://a")
+        net.close()
+        with pytest.raises(ConnectionRefusedError):
+            socket_mod.create_connection(("127.0.0.1", port), timeout=2.0)
 
 
 class _CountingEndpoint(Endpoint):

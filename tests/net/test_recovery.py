@@ -183,7 +183,7 @@ class TestChaosRecoveryMatrix:
     def test_suite_survives_crashes_on_every_backend(self, tmp_path,
                                                      backend):
         # The loopback matrix above, re-run over the other three
-        # carriers — in particular the asyncio multiplexed backend,
+        # carriers — in particular the multiplexed TCP backend,
         # where recovery must compose with pipelined dispatch: the
         # crashed endpoint's refusals ride back as serialized transient
         # errors over the persistent connection and the client retries

@@ -6,7 +6,7 @@ port; a second process — sharing nothing but the deployment seed and
 the (host, port) route — uploads a PHI collection and searches it by
 keyword.  Passing proves the frames on the wire are self-contained:
 no in-process object sharing is needed for any byte of the exchange.
-Both processes run the asyncio multiplexed backend (``AsyncTransport``).
+Both processes run the multiplexed TCP backend (``AsyncTransport``).
 
 After the upload and the retrieval, the client pre-seals a batch of
 keyword searches and fires them from concurrent threads down ONE
