@@ -53,19 +53,6 @@ def _parse_epoch(epoch_b: bytes) -> int:
     return int.from_bytes(epoch_b, "big")
 
 
-def _pack_guard(guard: ReplayGuard) -> bytes:
-    return pack_fields(*[pack_fields(tag, repr(ts).encode())
-                         for tag, ts in guard.export_state()])
-
-
-def _unpack_guard(blob: bytes, guard: ReplayGuard) -> None:
-    entries = []
-    for entry in unpack_fields(blob):
-        tag, ts = unpack_fields(entry, expected=2)
-        entries.append((tag, float(ts.decode())))
-    guard.load_state(entries)
-
-
 class Endpoint:
     """Opcode routing + error serialization around one served entity.
 
@@ -451,7 +438,7 @@ class AServerEndpoint(Endpoint):
                      sorted(self._pdevice_addresses.items())]
         return pack_fields(self.aserver.export_state(),
                            pack_fields(*addresses),
-                           _pack_guard(self._auth_guard))
+                           self._auth_guard.pack_state())
 
     def load_state(self, blob: bytes) -> None:
         aserver_b, addresses_b, guard_b = unpack_fields(blob, expected=3)
@@ -460,7 +447,7 @@ class AServerEndpoint(Endpoint):
         for entry in unpack_fields(addresses_b):
             pd, address = unpack_fields(entry, expected=2)
             self._pdevice_addresses[pd] = address.decode()
-        _unpack_guard(guard_b, self._auth_guard)
+        self._auth_guard.load_state(ReplayGuard.unpack_state(guard_b))
 
     def _op_register(self, fields: list[bytes]) -> bytes:
         pseud_b, address_b = self._expect(fields, 2)
@@ -539,13 +526,13 @@ class EntityEndpoint(Endpoint):
         # patient, not from disk), so it is not part of the durable state.
         entity_blob = (self.entity.export_state()
                        if hasattr(self.entity, "export_state") else b"")
-        return pack_fields(entity_blob, _pack_guard(self._guard))
+        return pack_fields(entity_blob, self._guard.pack_state())
 
     def load_state(self, blob: bytes) -> None:
         entity_blob, guard_b = unpack_fields(blob, expected=2)
         if entity_blob:
             self.entity.load_state(entity_blob)
-        _unpack_guard(guard_b, self._guard)
+        self._guard.load_state(ReplayGuard.unpack_state(guard_b))
 
     def _op_assign(self, fields: list[bytes]) -> bytes:
         (env_b,) = self._expect(fields, 1)

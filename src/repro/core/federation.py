@@ -414,8 +414,7 @@ def bind_federated_sserver(transport, server: StorageServer, n_shards: int,
                            data_dir: str | None = None,
                            snapshot_every: int = 0, fault_policy=None,
                            vnodes: int = DEFAULT_VNODES,
-                           allow_partial: bool = True,
-                           health_seed: int = 0) -> Federation:
+                           allow_partial: bool = True) -> Federation:
     """Serve ``server.address`` with an N-shard federation.
 
     With ``data_dir`` each shard binds durably (its own
@@ -456,38 +455,24 @@ def bind_federated_sserver(transport, server: StorageServer, n_shards: int,
         shards = [_make_shard(server, name) for name in manifest["shards"]]
     else:
         shards = shard_servers(server, n_shards)
-    fed_key = federation_key_for(server.identity_key)
-    endpoints = []
-    for shard in shards:
-        if data_dir is not None:
-            index = int(shard.name.rsplit("-", 1)[1])
-            store = DurableStore(data_dir, "sserver-shard-%d" % index,
-                                 snapshot_every=snapshot_every)
-            endpoint = bind_durable_sserver(
-                transport, shard, store, hibc_node=hibc_node,
-                root_public=root_public, fault_policy=fault_policy,
-                federation_key=fed_key)
-        else:
-            endpoint = dispatch.bind_sserver(transport, shard,
-                                             hibc_node=hibc_node,
-                                             root_public=root_public,
-                                             federation_key=fed_key)
-        endpoints.append(endpoint)
     router = RouterEndpoint(server.address,
                             [shard.address for shard in shards],
-                            vnodes=vnodes, federation_key=fed_key,
-                            allow_partial=allow_partial,
-                            health_seed=health_seed)
-    if hibc_node is not None:
-        router._hibc_node = hibc_node      # already applied per shard above
-        router._root_public = root_public
-    transport.bind(server.address, router)
+                            vnodes=vnodes,
+                            federation_key=federation_key_for(
+                                server.identity_key),
+                            allow_partial=allow_partial)
+    # Not attached yet, so these only record the credential; each shard
+    # gets it from the router as _bind_shard binds it.
+    router.hibc_node = hibc_node
+    router.root_public = root_public
     fed = Federation(router=router, ring=router.ring,
-                     shards=tuple(shards), endpoints=tuple(endpoints),
+                     shards=tuple(shards), endpoints=(),
                      server=server, transport=transport,
                      epoch=manifest["epoch"] if manifest else 0,
                      data_dir=data_dir, snapshot_every=snapshot_every,
                      fault_policy=fault_policy)
+    fed.endpoints = tuple(_bind_shard(fed, shard) for shard in shards)
+    transport.bind(server.address, router)
     if manifest is not None and manifest.get("pending") is not None:
         # Crashed before commit: roll the whole migration forward (all
         # steps are idempotent; already-journaled installs replayed

@@ -13,10 +13,7 @@ health-gated routing (docs/architecture.md, "Shard lifecycle"):
   SHA-256 counter stream, not :mod:`random` (this module sits below the
   transport layer, where the crypto-hygiene lint bans the stdlib RNG),
   so a seeded run replays the exact same timeout schedule.
-* :class:`HealthTable` — one breaker per shard address plus a bounded
-  latency sample window, from which the router derives the p99 delay
-  budget after which a slow scatter leg is *hedged* (re-sent to the
-  same shard, first answer wins).
+* :class:`HealthTable` — one breaker per shard address.
 
 Like :mod:`repro.core.shard`, this module is importable from anywhere:
 stdlib plus :mod:`repro.exceptions` only (enforced by the hcpplint
@@ -27,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import deque
 
 from repro.exceptions import ParameterError
 
@@ -61,8 +57,8 @@ class CircuitBreaker:
       closes the breaker, its failure re-opens it (with a fresh
       jittered timeout).
 
-    Thread-safe: the router's scatter pool consults one breaker from
-    many worker threads.
+    Thread-safe: concurrent requests through the router, one per
+    transport handler thread, consult one breaker at once.
     """
 
     def __init__(self, clock, *, failure_threshold: int = 3,
@@ -148,30 +144,18 @@ class CircuitBreaker:
 
 
 class HealthTable:
-    """Breakers plus latency accounting for a set of shard addresses.
-
-    The latency window feeds the hedging delay budget: once at least
-    ``min_samples`` scatter legs have been observed, a leg still
-    pending after the window's p99 is hedged.  Latency is diagnostic
-    wall-time (hedging only runs on concurrent transports, where legs
-    occupy real threads); breaker time is the injected clock.
-    """
+    """One circuit breaker per shard address."""
 
     def __init__(self, addresses, clock, *, seed: int = 0,
                  failure_threshold: int = 3, reset_timeout_s: float = 1.0,
-                 jitter: float = 0.5, window: int = 128,
-                 min_samples: int = 20) -> None:
+                 jitter: float = 0.5) -> None:
         self._clock = clock
         self._seed = seed
         self._failure_threshold = failure_threshold
         self._reset_timeout_s = reset_timeout_s
         self._jitter = jitter
-        self.min_samples = min_samples
         self._lock = threading.Lock()
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._samples: deque[float] = deque(maxlen=window)
-        self.hedges_sent = 0
-        self.hedges_won = 0
         for address in addresses:
             self.breaker(address)
 
@@ -186,19 +170,6 @@ class HealthTable:
                     name=address.encode())
                 self._breakers[address] = breaker
             return breaker
-
-    def observe_latency(self, seconds: float) -> None:
-        with self._lock:
-            self._samples.append(seconds)
-
-    def hedge_budget_s(self) -> "float | None":
-        """The p99 of recent scatter-leg latencies, or None while the
-        window is too thin to estimate a tail."""
-        with self._lock:
-            if len(self._samples) < self.min_samples:
-                return None
-            ordered = sorted(self._samples)
-            return ordered[int(0.99 * (len(ordered) - 1))]
 
     def snapshot(self) -> "dict[str, str]":
         """Current breaker state per shard (diagnostics/CLI)."""

@@ -214,6 +214,21 @@ class ReplayGuard:
             for tag, ts in entries:
                 self._add(tag, ts)
 
+    def pack_state(self) -> bytes:
+        """:meth:`export_state` in the snapshot and migration encoding:
+        one ``pack_fields(tag, repr(ts))`` entry per tag, by tag."""
+        return pack_fields(*[pack_fields(tag, repr(ts).encode())
+                             for tag, ts in self.export_state()])
+
+    @staticmethod
+    def unpack_state(blob: bytes) -> list[tuple[bytes, float]]:
+        """Inverse of :meth:`pack_state`: the (tag, timestamp) entries."""
+        entries = []
+        for entry in unpack_fields(blob):
+            tag, ts = unpack_fields(entry, expected=2)
+            entries.append((tag, float(ts.decode())))
+        return entries
+
     def _add(self, tag: bytes, timestamp: float) -> None:
         # Caller holds self._lock.  A tag already in the window keeps its
         # first timestamp, as dict.setdefault would.

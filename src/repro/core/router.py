@@ -59,11 +59,6 @@ layering contract) — never entities, protocols, or the net backends.
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import (FIRST_COMPLETED, ThreadPoolExecutor,
-                                TimeoutError as _FutureTimeout, wait)
-
 import repro.core.wire as wire
 from repro.core.health import HealthTable
 from repro.core.shard import DEFAULT_VNODES, HashRing
@@ -101,9 +96,7 @@ class RouterEndpoint:
     def __init__(self, address: str, shard_addresses: "list[str]",
                  vnodes: int = DEFAULT_VNODES,
                  federation_key: "bytes | None" = None,
-                 allow_partial: bool = True, health_seed: int = 0,
-                 failure_threshold: int = 3,
-                 reset_timeout_s: float = 1.0) -> None:
+                 allow_partial: bool = True) -> None:
         if not shard_addresses:
             raise ParameterError("a router needs at least one shard")
         self.address = address
@@ -122,21 +115,12 @@ class RouterEndpoint:
         # owner keeps surfacing TransientTransportError.
         self.allow_partial = allow_partial
         # Per-shard breakers on the *transport* clock (deterministic
-        # under simulated time) plus the latency window the hedging
-        # budget derives from.
-        self.health = HealthTable(
-            self.shard_addresses, clock=lambda: self.now,
-            seed=health_seed, failure_threshold=failure_threshold,
-            reset_timeout_s=reset_timeout_s)
+        # under simulated time).
+        self.health = HealthTable(self.shard_addresses,
+                                  clock=lambda: self.now)
         self._transport = None
         self._hibc_node = None
         self._root_public = None
-        # One bounded scatter pool per router, created on first
-        # concurrent scatter (serial transports never pay for it) and
-        # reused across frames — not per frame, which would put thread
-        # spawn/teardown on the hot path of every scattered request.
-        self._scatter_pool = None
-        self._scatter_pool_lock = threading.Lock()
         self._routes = {
             wire.OP_STORE: self._route_store,
             wire.OP_SEARCH: self._route_by_cid,
@@ -228,7 +212,6 @@ class RouterEndpoint:
         *client's* retry fires too.
         """
         breaker = self.health.breaker(shard)
-        start = time.monotonic()
         try:
             endpoint = self._transport.endpoint_at(shard)
             if endpoint is not None:
@@ -248,22 +231,7 @@ class RouterEndpoint:
             breaker.record_failure()
             raise
         breaker.record_success()
-        self.health.observe_latency(time.monotonic() - start)
         return response
-
-    def _executor(self) -> ThreadPoolExecutor:
-        pool = self._scatter_pool
-        if pool is None:
-            with self._scatter_pool_lock:
-                pool = self._scatter_pool
-                if pool is None:
-                    # Twice the shard count: hedged legs need workers
-                    # while their stalled primaries still occupy one.
-                    pool = ThreadPoolExecutor(
-                        max_workers=min(2 * len(self.shard_addresses), 16),
-                        thread_name_prefix="hcpp-router")
-                    self._scatter_pool = pool
-        return pool
 
     def update_ring(self, shard_addresses: "list[str]") -> None:
         """Atomically swap the shard set (a federation rebalance commit).
@@ -281,59 +249,23 @@ class RouterEndpoint:
         self.shard_addresses = addresses
         for address in addresses:
             self.health.breaker(address)  # pre-create: known from day one
-        with self._scatter_pool_lock:
-            pool, self._scatter_pool = self._scatter_pool, None
-        if pool is not None:
-            # In-flight scatters hold their own reference and drain
-            # normally; new scatters get a pool sized for the new ring.
-            pool.shutdown(wait=False)
 
     def _scatter(self, targets: "list[tuple[str, bytes]]", label: str,
-                 hedge: bool = False,
                  tolerant: bool = False) -> "list[bytes | None]":
         """Forward one frame per (shard, frame) pair; responses by index.
 
-        Pipelined (the router's persistent scatter pool) when the
-        transport multiplexes concurrent requests
-        (``CONCURRENT_REQUESTS``, the async backend); serial in target
-        order otherwise.  Either way the gathered list is indexed like
-        ``targets`` — deterministic merge order never depends on
-        completion order.
+        The legs run one after another on the calling thread, in target
+        order, so the gathered list is indexed like ``targets`` and the
+        merge order never depends on which shard answers first.  A
+        co-located leg is Python work under the one interpreter lock,
+        where a thread-pool fan-out measured no faster (EXPERIMENTS.md,
+        "Decision record: one scatter path").
 
         ``tolerant`` turns a leg's transient failure into ``None`` at
         its index (degraded-mode callers account the loss); otherwise
-        the failure propagates.  ``hedge`` (concurrent transports only)
-        re-sends a leg to the same shard once it has been pending
-        longer than the p99-derived budget and takes whichever copy
-        answers first — only ever requested for the idempotent,
-        guard-free OP_SEARCH_SHARD legs, where a duplicate delivery is
-        harmless by construction.
+        the failure propagates.
         """
-        if len(targets) > 1 and getattr(self._transport,
-                                        "CONCURRENT_REQUESTS", False):
-            pool = self._executor()
-            futures = [pool.submit(self._forward, shard, frame, label)
-                       for shard, frame in targets]
-            budget = self.health.hedge_budget_s() if hedge else None
-            responses: "list[bytes | None]" = []
-            for (shard, frame), future in zip(targets, futures):
-                try:
-                    if budget is None:
-                        responses.append(future.result())
-                        continue
-                    try:
-                        responses.append(future.result(timeout=budget))
-                    except _FutureTimeout:
-                        self.health.hedges_sent += 1
-                        backup = pool.submit(self._forward, shard, frame,
-                                             label)
-                        responses.append(self._first_result(future, backup))
-                except TransientTransportError:
-                    if not tolerant:
-                        raise
-                    responses.append(None)
-            return responses
-        responses = []
+        responses: "list[bytes | None]" = []
         for shard, frame in targets:
             try:
                 responses.append(self._forward(shard, frame, label))
@@ -342,19 +274,6 @@ class RouterEndpoint:
                     raise
                 responses.append(None)
         return responses
-
-    def _first_result(self, primary, backup) -> bytes:
-        """The first *successful* of a hedged pair; prefer the primary's
-        error only once both have failed."""
-        pending = {primary, backup}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                if future.exception() is None:
-                    if future is backup:
-                        self.health.hedges_won += 1
-                    return future.result()
-        return primary.result()  # both failed: re-raise the primary's error
 
     # -- per-opcode routing --------------------------------------------------
     def _route_store(self, fields: "list[bytes]", frame: bytes) -> bytes:
@@ -460,9 +379,7 @@ class RouterEndpoint:
                         self._federation_key, wire.OP_SEARCH_SHARD, pseud_b,
                         wire.pack_fields(*shard_cids), env_b))
                    for shard, shard_cids in sorted(foreign.items())]
-        # Guard-free idempotent legs: safe to hedge on a concurrent
-        # transport once the latency window can price a p99 budget.
-        responses = self._scatter(targets, "router/scatter", hedge=True,
+        responses = self._scatter(targets, "router/scatter",
                                   tolerant=self.allow_partial)
         failed: set[str] = set()
         chunk_entries = []

@@ -385,10 +385,8 @@ class StorageServer:
         collections = [self._serialize_collection(self._collections[cid])
                        for cid in sorted(self._collections)]
         mhi = [_serialize_mhi(m) for m in self._mhi]
-        guard = [pack_fields(tag, str(ts).encode())
-                 for tag, ts in self._guard.export_state()]
         return pack_fields(pack_fields(*collections), pack_fields(*mhi),
-                           pack_fields(*guard))
+                           self._guard.pack_state())
 
     def load_state(self, blob: bytes) -> None:
         """Inverse of :meth:`export_state` — restore from a snapshot."""
@@ -400,11 +398,7 @@ class StorageServer:
             self._collections[collection.collection_id] = collection
         self._mhi = [_deserialize_mhi(entry, curve)
                      for entry in unpack_fields(mhi_b)]
-        entries = []
-        for entry in unpack_fields(guard_b):
-            tag, ts = unpack_fields(entry, expected=2)
-            entries.append((tag, float(ts.decode())))
-        self._guard.load_state(entries)
+        self._guard.load_state(ReplayGuard.unpack_state(guard_b))
 
     @staticmethod
     def _serialize_collection(c: StoredCollection) -> bytes:
@@ -440,10 +434,8 @@ class StorageServer:
         wanted = {role.decode() for role in roles}
         mhi = [_serialize_mhi(m) for m in self._mhi
                if m.role_identity in wanted]
-        guard = [pack_fields(tag, str(ts).encode())
-                 for tag, ts in self._guard.export_state()]
         return pack_fields(pack_fields(*collections), pack_fields(*mhi),
-                           pack_fields(*guard))
+                           self._guard.pack_state())
 
     def install_partition(self, blob: bytes) -> "tuple[int, int]":
         """Adopt a migrated slice; returns (collections, MHI windows).
@@ -471,9 +463,8 @@ class StorageServer:
                 present.add(key)
                 self._mhi.append(m)
                 mhi_installed += 1
-        for entry in unpack_fields(guard_b):
-            tag, ts = unpack_fields(entry, expected=2)
-            self._guard.insert(tag, float(ts.decode()))
+        for tag, ts in ReplayGuard.unpack_state(guard_b):
+            self._guard.insert(tag, ts)
         return installed, mhi_installed
 
     def release_partition(self, cids: "list[bytes]",

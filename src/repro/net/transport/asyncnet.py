@@ -475,10 +475,6 @@ class _ServedConnection:
 class AsyncTransport(Transport):
     """Frames pipelined over persistent multiplexed TCP connections."""
 
-    #: Concurrent requests to one destination share a mux connection and
-    #: genuinely pipeline — scatter-gather callers may fan out threads.
-    CONCURRENT_REQUESTS = True
-
     def __init__(self, routes: dict[str, tuple[str, int]] | None = None,
                  host: str = "127.0.0.1",
                  window: int = _DEFAULT_WINDOW,

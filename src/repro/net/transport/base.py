@@ -65,13 +65,6 @@ class Transport(abc.ABC):
     _retry_policy = None
     _fault_policy = None
 
-    #: Whether concurrent ``request`` calls from multiple threads gain
-    #: real pipelining on this carrier.  In-process backends serialize
-    #: on a virtual clock, so scatter-gather callers —
-    #: the federation router — fan out serially unless this is True
-    #: (the multiplexed async backend sets it).
-    CONCURRENT_REQUESTS = False
-
     # -- endpoint hosting ---------------------------------------------------
     @abc.abstractmethod
     def bind(self, address: str, endpoint) -> None:

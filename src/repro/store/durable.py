@@ -34,6 +34,7 @@ being handled.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 
@@ -220,8 +221,7 @@ class DurableEndpoint:
         # 3) on a simulated one — and replay, which sets the recovery
         # clock to the journaled value, must mint byte-identical
         # artifacts (t_issue in the TR, the audit leaf).
-        started = (ts_ms(self._transport.now) / 1000.0
-                   if self._transport else 0.0)
+        started = self._now_ms() / 1000.0
         self._suspend_thread = threading.get_ident()
         try:
             response = inner.handle_frame_at(frame, started)
@@ -235,20 +235,33 @@ class DurableEndpoint:
 
     def _commit(self, frame: bytes, started: float) -> None:
         # Caller holds self._lock.
-        timestamp = ts_ms(started)
-        payload = pack_fields(frame, self._commit_extra())
+        with self._journal() as journal:
+            journal.append(K_FRAME, pack_fields(frame, self._commit_extra()),
+                           ts_ms(started))
+        self._mutations += 1
+        self._maybe_snapshot()
+
+    @contextlib.contextmanager
+    def _journal(self):
+        """The journal writer, for the one append made inside the block.
+
+        Every record this endpoint writes goes through here.  Caller
+        holds self._lock.  A torn write (the armed crash firing) means
+        the process died mid-append: the endpoint goes down and the
+        caller sees the transport refusal a dead process gives.  The
+        record was never acknowledged, so losing it is correct — the
+        client's retry re-applies it after recovery truncates the torn
+        tail.
+        """
         try:
-            self._store.writer().append(K_FRAME, payload, timestamp)
+            yield self._store.writer()
         except JournalCorruptionError:
-            # The armed torn write fired: the process died mid-append.
-            # The mutation was never acknowledged, so losing it is
-            # correct — the client's retry will re-apply it after
-            # recovery truncates the torn tail.
             self._die()
             raise TransientTransportError(
                 "durable endpoint %r crashed mid-write" % self.address)
-        self._mutations += 1
-        self._maybe_snapshot()
+
+    def _now_ms(self) -> int:
+        return ts_ms(self._transport.now) if self._transport else 0
 
     def _commit_extra(self) -> bytes:
         """Per-endpoint commitment journaled beside each mutating frame
@@ -361,8 +374,8 @@ class DurableEndpoint:
             self._snapshot_id = (existing[-1] + 1) if existing else 0
             self.recoveries += 1
             if not records:
-                self._store.writer().append(K_META,
-                                            self._store.name.encode())
+                with self._journal() as journal:
+                    journal.append(K_META, self._store.name.encode())
 
     def _configure_inner(self, inner) -> None:
         """Re-apply bind-time configuration (credentials, pre-shared
@@ -389,17 +402,11 @@ class DurableEndpoint:
                 if (self._suspend_thread == threading.get_ident()
                         or self._inner is None):
                     return
-                try:
-                    self._store.writer().append(
-                        K_GUARD,
-                        pack_fields(bytes([index]), tag,
-                                    repr(timestamp).encode()),
-                        ts_ms(timestamp))
-                except JournalCorruptionError:
-                    self._die()
-                    raise TransientTransportError(
-                        "durable endpoint %r crashed mid-write"
-                        % self.address)
+                with self._journal() as journal:
+                    journal.append(K_GUARD,
+                                   pack_fields(bytes([index]), tag,
+                                               repr(timestamp).encode()),
+                                   ts_ms(timestamp))
         return on_remember
 
     # -- snapshots ------------------------------------------------------------
@@ -419,10 +426,9 @@ class DurableEndpoint:
             body = self._inner.export_state()
             write_snapshot(self._store.data_dir, self._store.name,
                            snapshot_id, body)
-            timestamp = ts_ms(self._transport.now) if self._transport else 0
-            self._store.writer().append(K_SNAP,
-                                        snapshot_id.to_bytes(4, "big"),
-                                        timestamp)
+            with self._journal() as journal:
+                journal.append(K_SNAP, snapshot_id.to_bytes(4, "big"),
+                               self._now_ms())
             self._snapshot_id += 1
             self._mutations = 0
             return snapshot_id
@@ -514,16 +520,12 @@ class DurableAServerEndpoint(DurableEndpoint):
         with self._lock:
             if self._inner is None:
                 return
-            try:
-                self._store.writer().append(
-                    K_ROSTER,
-                    pack_fields(b"+" if signed_in else b"-",
-                                hospital.encode(), physician_id.encode()),
-                    ts_ms(self._transport.now) if self._transport else 0)
-            except JournalCorruptionError:
-                self._die()
-                raise TransientTransportError(
-                    "durable endpoint %r crashed mid-write" % self.address)
+            with self._journal() as journal:
+                journal.append(K_ROSTER,
+                               pack_fields(b"+" if signed_in else b"-",
+                                           hospital.encode(),
+                                           physician_id.encode()),
+                               self._now_ms())
 
     def _replay_record(self, inner, record) -> None:
         # Caller holds self._lock.
@@ -569,12 +571,13 @@ class DurablePDeviceEndpoint(DurableEndpoint):
 
     def rekey(self, preshared_key: bytes) -> None:
         with self._lock:
-            changed = preshared_key != self._mu_value
+            if self._inner is not None and preshared_key != self._mu_value:
+                # Journaled first: a torn K_KEY leaves the old μ in force.
+                with self._journal() as journal:
+                    journal.append(K_KEY, preshared_key)
             self._mu_value = preshared_key
             if self._inner is not None:
                 self._inner.rekey(preshared_key)
-                if changed:
-                    self._store.writer().append(K_KEY, preshared_key)
 
     def _configure_inner(self, inner) -> None:
         if self._mu_value is not None:
@@ -603,14 +606,8 @@ class DurablePDeviceEndpoint(DurableEndpoint):
         with self._lock:
             if self._inner is None:
                 return
-            try:
-                self._store.writer().append(
-                    K_RD, record.to_bytes(),
-                    ts_ms(self._transport.now) if self._transport else 0)
-            except JournalCorruptionError:
-                self._die()
-                raise TransientTransportError(
-                    "durable endpoint %r crashed mid-write" % self.address)
+            with self._journal() as journal:
+                journal.append(K_RD, record.to_bytes(), self._now_ms())
             self._mutations += 1
             self._maybe_snapshot()
 

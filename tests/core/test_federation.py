@@ -12,6 +12,8 @@ directly against a same-seed single server.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.ehr.mhi import AnomalyKind
@@ -124,31 +126,36 @@ class TestSuiteParity:
         assert run_suite(backend, shards=2) == baseline
 
 
-def _stored_deployment(shards: int, n_collections: int = 5):
+def _stored_deployment(shards: int, n_collections: int = 5,
+                       backend: str = "loopback"):
     """A same-seed deployment with several stored collections.
 
     Returns (system, net, collection_ids) — collection ids are captured
     after each store (``patient.collection_ids`` keeps only the latest).
     Identical seeds make the single-server and federated deployments
-    frame-for-frame comparable.
+    frame-for-frame comparable on the loopback backend.
     """
     system = build_system(seed=b"federation-frames")
-    net = LoopbackTransport()
+    net = make_transport(backend, system)
     server = system.sserver
     if shards:
         bind_federated_sserver(net, server, shards)
     else:
         dispatch.bind_sserver(net, server)
-    cids = []
-    contents = ["allergies", "cardiology", "surgeries", "labs", "imaging"]
-    for i in range(n_collections):
-        kw = contents[i % len(contents)]
-        system.patient.add_record(Category.ALLERGIES, [kw],
-                                  "record %d about %s" % (i, kw),
-                                  server.address)
-        private_phi_storage(system.patient, server, net)
-        cids.append(system.patient.collection_ids[server.address])
+    cids = [_store_one(system, net, i) for i in range(n_collections)]
     return system, net, cids
+
+
+def _store_one(system, net, i: int) -> bytes:
+    """Upload the ``i``-th record; returns the new collection id."""
+    contents = ["allergies", "cardiology", "surgeries", "labs", "imaging"]
+    kw = contents[i % len(contents)]
+    server = system.sserver
+    system.patient.add_record(Category.ALLERGIES, [kw],
+                              "record %d about %s" % (i, kw),
+                              server.address)
+    private_phi_storage(system.patient, server, net)
+    return system.patient.collection_ids[server.address]
 
 
 def _search_frame(system, cid, keywords, now):
@@ -305,15 +312,46 @@ class TestRouterSurface:
         for shard in shard_servers(system.sserver, 3):
             assert shard.identity_key is system.sserver.identity_key
 
-    def test_scatter_pool_is_bounded_and_reused(self):
-        router = RouterEndpoint("sserver://x", ["a://1", "b://2"])
-        pool = router._executor()
-        assert router._executor() is pool  # one pool per router, reused
-        # 2x shard count: headroom for hedged legs, capped at 16.
-        assert pool._max_workers == 4
-        many = RouterEndpoint(
-            "sserver://y", ["s://%d" % i for i in range(20)])
-        assert many._executor()._max_workers == 16
+    def test_async_scatter_legs_run_on_the_calling_thread(self):
+        """Over the async TCP mux, a cross-shard OP_SEARCH_MULTI with
+        two or more foreign legs decrypts to the loopback deployment's
+        files, and the router has started no thread of its own."""
+        def search_all(system, net, cids):
+            patient = system.patient
+            pseudonym = patient.fresh_pseudonym()
+            nu = patient.session_key_with(
+                system.sserver.identity_key.public, pseudonym)
+            trapdoors = [patient.trapdoor(kw).to_bytes()
+                         for kw in ("allergies", "labs")]
+            request = seal(nu, "phi-retrieve", pack_fields(*trapdoors),
+                           net.now)
+            frame = wire.make_frame(
+                wire.OP_SEARCH_MULTI, pseudonym.public.to_bytes(),
+                pack_fields(*cids), request.to_bytes())
+            response = net.request(patient.address, system.sserver.address,
+                                   frame, "phi/search-multi")
+            reply = Envelope.from_bytes(wire.parse_response(response))
+            payload = open_envelope(nu, reply, net.now, None,
+                                    expected_label="phi-results")
+            return sorted(f.medical_content for f in
+                          patient.decrypt_results(unpack_fields(payload)))
+
+        system, net, cids = _stored_deployment(4, backend="async")
+        try:
+            ring = net.endpoint_at(system.sserver.address).ring
+            # Real-clock envelopes mint different ids each run: store on
+            # until the set spans the merge shard and two foreign shards.
+            while len({ring.owner_str(cid) for cid in cids}) < 3:
+                assert len(cids) < 64, "ring never spread the ids"
+                cids.append(_store_one(system, net, len(cids)))
+            files = search_all(system, net, cids)
+        finally:
+            close_transport(net)
+        ref_system, ref_net, ref_cids = _stored_deployment(4, len(cids))
+        assert files == search_all(ref_system, ref_net, ref_cids)
+        assert files  # both keywords match stored records
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("hcpp-router")]
 
 
 class TestSharedSessionKeys:

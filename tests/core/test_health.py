@@ -133,27 +133,3 @@ class TestHealthTable:
         table = self._table(failure_threshold=1)
         table.breaker("s://b").record_failure()
         assert table.snapshot() == {"s://a": "closed", "s://b": "open"}
-
-    def test_hedge_budget_needs_min_samples(self):
-        table = self._table(min_samples=5)
-        for _ in range(4):
-            table.observe_latency(0.01)
-        assert table.hedge_budget_s() is None
-        table.observe_latency(0.01)
-        assert table.hedge_budget_s() == pytest.approx(0.01)
-
-    def test_hedge_budget_is_the_p99(self):
-        table = self._table(min_samples=20, window=128)
-        for i in range(100):
-            table.observe_latency(0.001 * (i + 1))
-        # p99 over [0.001 .. 0.100] = index int(0.99*99) = 98 → 0.099.
-        assert table.hedge_budget_s() == pytest.approx(0.099)
-
-    def test_latency_window_is_bounded(self):
-        table = self._table(window=8, min_samples=1)
-        for _ in range(100):
-            table.observe_latency(5.0)
-        for _ in range(8):
-            table.observe_latency(0.01)
-        # Old outliers aged out of the bounded window entirely.
-        assert table.hedge_budget_s() == pytest.approx(0.01)

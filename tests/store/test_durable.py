@@ -18,7 +18,8 @@ from repro.core.protocols.messages import pack_fields, unpack_fields
 from repro.core.system import build_system
 from repro.net.transport import FaultPolicy, LoopbackTransport, RetryPolicy
 from repro.exceptions import (JournalCorruptionError, ParameterError,
-                              RecoveryError, ReplayError)
+                              RecoveryError, ReplayError,
+                              TransientTransportError)
 from repro.store import (DurableStore, JournalWriter, bind_durable_aserver,
                          bind_durable_pdevice, bind_durable_sserver,
                          read_journal)
@@ -225,6 +226,29 @@ class TestSnapshots:
         assert ds.snapshot() == 0
         assert ds.snapshot() == 1
 
+    def test_torn_snapshot_record_takes_the_endpoint_down(self, tmp_path):
+        system, net, faults, (ds, _, _) = _deployment(tmp_path)
+        patient, server = _seed_and_store(system, net)
+        before = ds.export_state()
+        faults.crash(server.address, during_write=True)
+        with pytest.raises(TransientTransportError):
+            ds.snapshot()
+        assert faults.is_crashed(server.address)
+        with pytest.raises(TransientTransportError):
+            ds.handle_frame(b"")
+        faults.restart(server.address)
+        assert ds._store.torn_repairs == 1
+        assert ds.export_state() == before
+        # The next upload is journaled: it survives another restart.
+        patient.add_record(Category.ALLERGIES, ["latex"],
+                           "Latex sensitivity.", server.address)
+        private_phi_storage(patient, server, net)
+        faults.crash(server.address)
+        faults.restart(server.address)
+        result = common_case_retrieval(patient, server, net, ["latex"])
+        assert [f.medical_content for f in result.files] == [
+            "Latex sensitivity."]
+
 
 class TestCorruptionRefusal:
     """Committed journal damage is detected at recovery, never served."""
@@ -326,6 +350,24 @@ class TestKeystore:
         faults.restart(system.pdevice.address)
         assert system.pdevice.package is not None
         assert dp._mu_value == patient.preshared_key(system.pdevice.name)
+
+    def test_torn_key_record_takes_the_device_down(self, tmp_path):
+        system, net, faults, (_, _, dp) = _deployment(tmp_path)
+        patient, server = _seed_and_store(system, net)
+        device = system.pdevice
+        faults.crash(device.address, during_write=True)
+        with pytest.raises(TransientTransportError):
+            assign_privilege(patient, device, server, net)
+        assert faults.is_crashed(device.address)
+        assert dp._mu_value is None  # the torn μ never took effect
+        faults.restart(device.address)
+        assert dp._store.torn_repairs == 1
+        # The retried ASSIGN journals μ and the package: both survive.
+        assign_privilege(patient, device, server, net)
+        faults.crash(device.address)
+        faults.restart(device.address)
+        assert device.package is not None
+        assert dp._mu_value == patient.preshared_key(device.name)
 
     def test_rd_records_and_alerts_survive(self, tmp_path):
         system, net, faults, (_, _, dp) = _deployment(tmp_path)
