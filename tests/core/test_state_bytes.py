@@ -30,17 +30,21 @@ from repro.ehr.records import Category
 from repro.exceptions import ReproError
 from repro.net.transport import LoopbackTransport
 
-#: Recorded while the server could still hold a collection's index as an
-#: unparsed blob.  With every key named, a partition is the whole
-#: snapshot.
+#: Re-recorded when ``LoopbackTransport``'s clock went from 0.1 ms to
+#: 1 ms per record.  The seal timestamps moved, and with them two parts
+#: of the exports: the replay-guard window, and the id of the second
+#: collection, which is minted from its store envelope's MAC tag (the
+#: first upload is sealed at time 0 under either clock).  Indexes,
+#: files, group secrets and the MHI window are unchanged.  With every
+#: key named, a partition is the whole snapshot.
 EXPORT_STATE_SHA256 = (
-    "0f326ec3950bcc4b155050c8520d7159d02ce05ee3944b10d53cc76de4e4d147")
+    "0f42ff857f47ad2e1bebb36be743ddabd9378cf61887aa044f7af9669ad78e2f")
 EXPORT_PARTITION_SHA256 = {
     "all": EXPORT_STATE_SHA256,
     "first collection": (
-        "1ba41f39d3e27274a99bdc42a0df7474f15d8bdadd701426d09bd1147181da52"),
+        "c330226233aa2a7ff714e00e1a14e791fa9bed75605f6e655fe2640cc37b3973"),
     "second collection and the role": (
-        "3a6f76137fbff34c83b24e8864402b40b980b1f9e36db878bc7876a9a3a90646"),
+        "f30c0fe2526b4ccf098cc9ad60aa240577db5e67ae7a382feaed8d9ad8d64fa2"),
 }
 
 
