@@ -123,6 +123,27 @@ class TestLoopbackTransport:
         transport.notify("c", "svc://a", wire.make_frame(b"echo"), label="l")
         assert transport.now > t0
 
+    def test_identical_seals_in_a_row_do_not_collide(self):
+        """Each family retrieval seals the same request payloads; one
+        clock tick per record must move every seal to a new millisecond,
+        or the third retrieval is refused as a replay."""
+        from repro.core.protocols.emergency import family_based_retrieval
+        from repro.core.protocols.privilege import assign_privilege
+        from repro.core.protocols.storage import private_phi_storage
+        from repro.core.system import build_system
+        from repro.ehr.records import Category
+        system = build_system(seed=b"loopback-tick")
+        transport = LoopbackTransport()
+        patient, server = system.patient, system.sserver
+        patient.add_record(Category.CARDIOLOGY, ["cardiology"], "Prior MI.",
+                           server.address)
+        private_phi_storage(patient, server, transport)
+        assign_privilege(patient, system.family, server, transport)
+        for _ in range(3):
+            result = family_based_retrieval(system.family, server,
+                                            transport, ["cardiology"])
+            assert [f.medical_content for f in result.files] == ["Prior MI."]
+
     def test_unbound_address_raises(self):
         transport = LoopbackTransport()
         with pytest.raises(TransportError):
