@@ -25,12 +25,11 @@ message points — go through :func:`h1_uncached` instead.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 
 from repro.crypto import mathutil
 from repro.crypto.ec import Point
 from repro.crypto.fields import Fp2Element
+from repro.crypto.memo import LruMemo
 from repro.crypto.params import DomainParams
 
 _H1_TAG = b"HCPP-H1-identity:"
@@ -67,15 +66,7 @@ def _hash_to_point(params: DomainParams, tag: bytes, data: bytes) -> Point:
         counter += 1
 
 
-_H1_MEMO_CAPACITY = 256
-_h1_memo: "OrderedDict[tuple, Point]" = OrderedDict()
-_h1_lock = threading.Lock()
-
-
-def clear_h1_memo() -> None:
-    """Drop the memoised H1 points (called by ``clear_pairing_cache``)."""
-    with _h1_lock:
-        _h1_memo.clear()
+_h1_memo = LruMemo(256)  # emptied by pairing.clear_pairing_cache
 
 
 def h1_identity(params: DomainParams, identity: str | bytes) -> Point:
@@ -86,19 +77,8 @@ def h1_identity(params: DomainParams, identity: str | bytes) -> Point:
     """
     if isinstance(identity, str):
         identity = identity.encode()
-    key = (params.curve, identity)
-    with _h1_lock:
-        hit = _h1_memo.get(key)
-        if hit is not None:
-            _h1_memo.move_to_end(key)
-            return hit
-    point = _hash_to_point(params, _H1_TAG, identity)
-    with _h1_lock:
-        _h1_memo[key] = point
-        _h1_memo.move_to_end(key)
-        while len(_h1_memo) > _H1_MEMO_CAPACITY:
-            _h1_memo.popitem(last=False)
-    return point
+    return _h1_memo.get((params.curve, identity), _hash_to_point, params,
+                        _H1_TAG, identity)
 
 
 def h1_uncached(params: DomainParams, data: str | bytes) -> Point:

@@ -28,11 +28,10 @@ window.  The S-server keeps them in a :class:`StaticKeyCache` too.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 
 from repro.crypto.ec import Point
 from repro.crypto.ibe import IdentityKeyPair
+from repro.crypto.memo import LruMemo
 from repro.crypto.pairing import prepared
 from repro.exceptions import ParameterError
 
@@ -67,31 +66,19 @@ class StaticKeyCache:
     """SOK keys of one long-lived party, derived once per peer point.
 
     Keyed by (own private point, peer public point), so an identity key
-    that is replaced can never return the old key.  A bounded, locked
-    LRU: the least recently used peer goes first.
+    that is replaced can never return the old key.  An
+    :class:`~repro.crypto.memo.LruMemo` of ``CAPACITY`` peers.
     """
 
     CAPACITY = 64
 
     def __init__(self) -> None:
-        self._keys: "OrderedDict[tuple[Point, Point], bytes]" = OrderedDict()
-        self._lock = threading.Lock()
+        self._keys = LruMemo(self.CAPACITY)
 
     def get(self, private: Point, peer_public: Point) -> bytes:
         """``shared_key_from_points(private, peer_public)``, memoised."""
-        slot = (private, peer_public)
-        with self._lock:
-            key = self._keys.get(slot)
-            if key is not None:
-                self._keys.move_to_end(slot)
-                return key
-        key = shared_key_from_points(private, peer_public)
-        with self._lock:
-            self._keys[slot] = key
-            while len(self._keys) > self.CAPACITY:
-                self._keys.popitem(last=False)
-        return key
+        return self._keys.get((private, peer_public), shared_key_from_points,
+                              private, peer_public)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._keys)
+        return len(self._keys)

@@ -30,20 +30,19 @@ a conjugation and one inversion, and f̄/f is *unitary* (norm 1), so the
 (p+1)/r = h part is the Lucas ladder of :meth:`Fp2Element.__pow__` — two
 base-field products per exponent bit.
 
-Two bounded memos sit on top: :func:`prepared` keeps line tables of
-long-lived first arguments, and :func:`identity_pairing` keeps the
-values ê(A, PK) of a system point A and a public identity's PK.  No
-other pairing value is retained; :func:`tate_pairing` computes afresh.
+Two bounded memos (:class:`~repro.crypto.memo.LruMemo`) sit on top:
+:func:`prepared` keeps line tables of long-lived first arguments, and
+:func:`identity_pairing` keeps the values ê(A, PK) of a system point A
+and a public identity's PK.  No other pairing value is retained;
+:func:`tate_pairing` computes afresh.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 from repro.crypto import mathutil
 from repro.crypto.ec import CurveParams, Point
 from repro.crypto.fields import Fp2Element
+from repro.crypto.memo import LruMemo
 from repro.exceptions import ParameterError
 
 __all__ = ["tate_pairing", "miller_loop", "final_exponentiation",
@@ -191,12 +190,9 @@ def clear_pairing_cache() -> None:
     """Drop memoised identity pairings, prepared-pairing tables and
     memoised H1 points (tests)."""
     # Imported here: hashes imports params, which imports this module.
-    from repro.crypto.hashes import clear_h1_memo
-    clear_h1_memo()
-    with _identity_lock:
-        _identity_pairings.clear()
-    with _prepared_lock:
-        _prepared_registry.clear()
+    from repro.crypto.hashes import _h1_memo
+    for memo in (_h1_memo, _identity_pairings, _prepared_registry):
+        memo.clear()
 
 
 def tate_pairing(P: Point, Q: Point) -> Fp2Element:
@@ -265,28 +261,14 @@ class PreparedPairing:
         return "PreparedPairing(%d line ops)" % len(self._ops)
 
 
-_PREPARED_CAPACITY = 64
-_prepared_registry: "OrderedDict[tuple[int, int, int], PreparedPairing]" = OrderedDict()
-_prepared_lock = threading.Lock()
+_prepared_registry = LruMemo(64)
 
 
 def prepared(P: Point) -> PreparedPairing:
     """The memoised :class:`PreparedPairing` for ``P`` (LRU-bounded)."""
-    if P.is_infinity:
+    if P.is_infinity:  # its key would be that of the point (0, 0)
         raise ParameterError("cannot prepare the infinity point")
-    key = (P.x, P.y, P.curve.p)
-    with _prepared_lock:
-        hit = _prepared_registry.get(key)
-        if hit is not None:
-            _prepared_registry.move_to_end(key)
-            return hit
-    built = PreparedPairing(P)
-    with _prepared_lock:
-        _prepared_registry[key] = built
-        _prepared_registry.move_to_end(key)
-        while len(_prepared_registry) > _PREPARED_CAPACITY:
-            _prepared_registry.popitem(last=False)
-    return built
+    return _prepared_registry.get((P.x, P.y, P.curve.p), PreparedPairing, P)
 
 
 # ---------------------------------------------------------------------------
@@ -298,32 +280,22 @@ def prepared(P: Point) -> PreparedPairing:
 # keyword points and private points keep the unmemoised prepared path.
 # ---------------------------------------------------------------------------
 
-_IDENTITY_CAPACITY = 256
-_identity_pairings: "OrderedDict[tuple, Fp2Element]" = OrderedDict()
-_identity_lock = threading.Lock()
+_identity_pairings = LruMemo(256)
+
+
+def _pair_prepared(A: Point, pk: Point) -> Fp2Element:
+    return prepared(A).pair(pk)
 
 
 def identity_pairing(A: Point, pk: Point) -> Fp2Element:
     """ê(A, PK) for a system point A and a public identity's PK = H1(ID).
 
-    Served from a bounded, locked LRU keyed by (curve, A, PK); a miss is
+    Served from a bounded LRU keyed by (curve, A, PK); a miss is
     ``prepared(A).pair(PK)``, so the value is that pairing byte for byte.
     """
     if A.is_infinity or pk.is_infinity:
         return Fp2Element.one(A.curve.p)
-    key = (A.curve, A, pk)
-    with _identity_lock:
-        hit = _identity_pairings.get(key)
-        if hit is not None:
-            _identity_pairings.move_to_end(key)
-            return hit
-    value = prepared(A).pair(pk)
-    with _identity_lock:
-        _identity_pairings[key] = value
-        _identity_pairings.move_to_end(key)
-        while len(_identity_pairings) > _IDENTITY_CAPACITY:
-            _identity_pairings.popitem(last=False)
-    return value
+    return _identity_pairings.get((A.curve, A, pk), _pair_prepared, A, pk)
 
 
 def pairing_product(pairs: list[tuple[Point, Point]],

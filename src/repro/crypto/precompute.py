@@ -31,22 +31,20 @@ apart itself: it is first built over the bits of r and evaluates r·P,
 which is O exactly on G1, and only a base outside G1 pays a second
 build over r·h.
 
-The module-level :func:`precomputed` registry memoises combs per
-(point, width) in a bounded LRU, so call sites route fixed-base products
-through :func:`fixed_base_mul`: the first call on a base pays the build,
-all later calls reuse it.  The registry is locked, so threads may share
-it.
+The module-level :func:`precomputed` registry memoises default-width
+combs per point in a bounded :class:`~repro.crypto.memo.LruMemo`, so
+call sites route fixed-base products through :func:`fixed_base_mul`: the
+first call on a base pays the build, all later calls reuse it.  The
+registry is locked, so threads may share it.
 """
 
 from __future__ import annotations
-
-import threading
-from collections import OrderedDict
 
 from repro.crypto.ec import (CurveParams, Jacobian, Point,
                              jacobian_add_affine, jacobian_double,
                              jacobian_to_affine)
 from repro.crypto import mathutil
+from repro.crypto.memo import LruMemo
 from repro.exceptions import ParameterError
 
 __all__ = ["PrecomputedPoint", "precomputed", "fixed_base_mul",
@@ -166,35 +164,17 @@ class PrecomputedPoint:
             self.window, self._columns, self.order.bit_length())
 
 
-# ---------------------------------------------------------------------------
 # Bounded registry: table reuse across call sites without threading a cache
 # object through every protocol signature.
-# ---------------------------------------------------------------------------
-
-_REGISTRY_CAPACITY = 64
-_registry: "OrderedDict[tuple[int, int, int, int], PrecomputedPoint]" = OrderedDict()
-_registry_lock = threading.Lock()
+_registry = LruMemo(64)
 
 
-def precomputed(point: Point, window: int = DEFAULT_WINDOW) -> PrecomputedPoint:
-    """The memoised :class:`PrecomputedPoint` for ``point`` (LRU-bounded)."""
-    if point.is_infinity:
+def precomputed(point: Point) -> PrecomputedPoint:
+    """The memoised default-width comb for ``point`` (LRU-bounded)."""
+    if point.is_infinity:  # its key would be that of the point (0, 0)
         raise ParameterError("cannot precompute the infinity point")
-    key = (point.x, point.y, point.curve.p, window)
-    with _registry_lock:
-        hit = _registry.get(key)
-        if hit is not None:
-            _registry.move_to_end(key)
-            return hit
-    # Build outside the lock: table construction is the expensive part and
-    # a rare duplicate build is harmless (last writer wins).
-    built = PrecomputedPoint(point, window=window)
-    with _registry_lock:
-        _registry[key] = built
-        _registry.move_to_end(key)
-        while len(_registry) > _REGISTRY_CAPACITY:
-            _registry.popitem(last=False)
-    return built
+    return _registry.get((point.x, point.y, point.curve.p), PrecomputedPoint,
+                         point)
 
 
 def fixed_base_mul(point: Point, scalar: int) -> Point:
@@ -204,5 +184,4 @@ def fixed_base_mul(point: Point, scalar: int) -> Point:
 
 def clear_registry() -> None:
     """Drop all cached tables (tests / memory pressure)."""
-    with _registry_lock:
-        _registry.clear()
+    _registry.clear()

@@ -74,7 +74,7 @@ class TestH1Memo:
     def test_bounded_and_equal_to_uncached(self, params, identities):
         clear_pairing_cache()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hashes, "_H1_MEMO_CAPACITY", 8)
+            patch.setattr(hashes._h1_memo, "capacity", 8)
             for identity in identities + identities[:3]:
                 assert (h1_identity(params, identity)
                         == h1_uncached(params, identity))
@@ -101,7 +101,7 @@ class TestH1Memo:
         sys.setswitchinterval(1e-6)
         try:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(hashes, "_H1_MEMO_CAPACITY", 8)
+                patch.setattr(hashes._h1_memo, "capacity", 8)
                 threads = [threading.Thread(target=worker, args=(i,))
                            for i in range(6)]
                 for thread in threads:

@@ -394,7 +394,7 @@ class TestIdentityPairingMemo:
     def test_memo_capacity_bounded(self, monkeypatch):
         from repro.crypto import pairing as pairing_mod
         clear_pairing_cache()
-        monkeypatch.setattr(pairing_mod, "_IDENTITY_CAPACITY", 8)
+        monkeypatch.setattr(pairing_mod._identity_pairings, "capacity", 8)
         for i in range(1, 30):
             identity_pairing(G, G * i)
             assert len(pairing_mod._identity_pairings) <= 8

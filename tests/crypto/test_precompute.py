@@ -155,10 +155,6 @@ class TestRegistry:
         clear_registry()
         assert precomputed(G * 5) is precomputed(G * 5)
 
-    def test_different_windows_distinct(self):
-        clear_registry()
-        assert precomputed(G, window=3) is not precomputed(G, window=4)
-
     def test_fixed_base_mul_matches(self):
         for k in (1, 123, R - 1, R + 9):
             assert fixed_base_mul(G, k) == G * k
@@ -166,9 +162,9 @@ class TestRegistry:
     def test_capacity_bounded(self):
         from repro.crypto import precompute
         clear_registry()
-        for i in range(1, precompute._REGISTRY_CAPACITY + 10):
-            precomputed(G * i, window=2)
-        assert len(precompute._registry) <= precompute._REGISTRY_CAPACITY
+        for i in range(1, precompute._registry.capacity + 10):
+            precomputed(G * i)
+        assert len(precompute._registry) <= precompute._registry.capacity
         clear_registry()
 
 
