@@ -50,8 +50,7 @@ from repro.exceptions import (JournalCorruptionError, RecoveryError,
 from repro.store.journal import (HEADER_SIZE, K_FRAME, K_GUARD, K_KEY,
                                  K_META, K_RD, K_ROSTER, K_SNAP,
                                  JournalWriter, read_journal)
-from repro.store.snapshot import (list_snapshot_ids, read_snapshot,
-                                  write_snapshot)
+from repro.store.snapshot import read_snapshot, write_snapshot
 
 __all__ = ["DurableStore", "DurableEndpoint", "DurableSServerEndpoint",
            "DurableAServerEndpoint", "DurablePDeviceEndpoint",
@@ -308,12 +307,16 @@ class DurableEndpoint:
 
             # Latest usable snapshot wins; a damaged one falls back to
             # an earlier one (the journal is never truncated, so a full
-            # replay from genesis always remains possible).
+            # replay from genesis always remains possible).  The next
+            # id follows the last one a record names: it overwrites a
+            # snapshot whose K_SNAP tore, never a named one.
             start = 0
+            next_snapshot_id = 0
             for position, record in enumerate(records):
                 if record.kind != K_SNAP:
                     continue
                 snapshot_id = int.from_bytes(record.payload, "big")
+                next_snapshot_id = snapshot_id + 1
                 try:
                     body = read_snapshot(self._store.data_dir,
                                          self._store.name, snapshot_id)
@@ -369,9 +372,7 @@ class DurableEndpoint:
                 inner.attach(self._transport)
             self._inner = inner
             self._mutations = 0
-            existing = list_snapshot_ids(self._store.data_dir,
-                                         self._store.name)
-            self._snapshot_id = (existing[-1] + 1) if existing else 0
+            self._snapshot_id = next_snapshot_id
             self.recoveries += 1
             if not records:
                 with self._journal() as journal:

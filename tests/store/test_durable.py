@@ -249,6 +249,34 @@ class TestSnapshots:
         assert [f.medical_content for f in result.files] == [
             "Latex sensitivity."]
 
+    def test_snapshot_after_a_torn_record_replaces_its_file(
+            self, tmp_path, monkeypatch):
+        """The file of a snapshot whose K_SNAP record tore is named by no
+        record; the next snapshot takes its id instead of leaving it."""
+        from repro.store import durable
+        system, net, faults, (ds, _, _) = _deployment(tmp_path)
+        _, server = _seed_and_store(system, net)
+        before = ds.export_state()
+        faults.crash(server.address, during_write=True)
+        with pytest.raises(TransientTransportError):
+            ds.snapshot()
+        faults.restart(server.address)
+        assert ds.snapshot() == 0
+        assert sorted(f for f in os.listdir(str(tmp_path))
+                      if f.startswith("sserver.snap.")) == ["sserver.snap.0"]
+        loaded = []
+        original = durable.read_snapshot
+
+        def reading(data_dir, name, snapshot_id):
+            loaded.append(snapshot_id)
+            return original(data_dir, name, snapshot_id)
+
+        monkeypatch.setattr(durable, "read_snapshot", reading)
+        faults.crash(server.address)
+        faults.restart(server.address)
+        assert loaded == [0]
+        assert ds.export_state() == before
+
 
 class TestCorruptionRefusal:
     """Committed journal damage is detected at recovery, never served."""
