@@ -144,16 +144,10 @@ class CircuitBreaker:
 
 
 class HealthTable:
-    """One circuit breaker per shard address."""
+    """One circuit breaker per shard address, on the breaker defaults."""
 
-    def __init__(self, addresses, clock, *, seed: int = 0,
-                 failure_threshold: int = 3, reset_timeout_s: float = 1.0,
-                 jitter: float = 0.5) -> None:
+    def __init__(self, addresses, clock) -> None:
         self._clock = clock
-        self._seed = seed
-        self._failure_threshold = failure_threshold
-        self._reset_timeout_s = reset_timeout_s
-        self._jitter = jitter
         self._lock = threading.Lock()
         self._breakers: dict[str, CircuitBreaker] = {}
         for address in addresses:
@@ -163,11 +157,7 @@ class HealthTable:
         with self._lock:
             breaker = self._breakers.get(address)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    self._clock, failure_threshold=self._failure_threshold,
-                    reset_timeout_s=self._reset_timeout_s,
-                    jitter=self._jitter, seed=self._seed,
-                    name=address.encode())
+                breaker = CircuitBreaker(self._clock, name=address.encode())
                 self._breakers[address] = breaker
             return breaker
 

@@ -120,8 +120,8 @@ class TestCircuitBreaker:
 
 
 class TestHealthTable:
-    def _table(self, **kwargs):
-        return HealthTable(["s://a", "s://b"], FakeClock(), **kwargs)
+    def _table(self):
+        return HealthTable(["s://a", "s://b"], FakeClock())
 
     def test_breakers_precreated_and_stable(self):
         table = self._table()
@@ -130,6 +130,7 @@ class TestHealthTable:
         assert table.snapshot() == {"s://a": "closed", "s://b": "closed"}
 
     def test_snapshot_reflects_trips(self):
-        table = self._table(failure_threshold=1)
-        table.breaker("s://b").record_failure()
+        table = self._table()
+        for _ in range(3):
+            table.breaker("s://b").record_failure()
         assert table.snapshot() == {"s://a": "closed", "s://b": "open"}
