@@ -14,9 +14,14 @@ side by side and appends a run entry to a trajectory JSON file (default
 3. S-server index deserialization — cold vs cached.
 
 A fourth leg, ``symmetric``, times the patient's upload path primitive by
-primitive (HMAC one-shot and keyed, AES block and key schedule, 1 KiB
-CTR, ``DomainPrp.encrypt``) and end to end (a 20-file ``build_upload``
-and the whole client half of an upload).
+primitive (HMAC one-shot and keyed, AES block and key schedule, CTR at
+1/3/11/64/256 blocks, the 60 nodes of a secure index in one
+``semantic_encrypt_many`` pass and one cipher per node,
+``DomainPrp.encrypt``) and end to end (a 20-file ``build_upload`` and
+the whole client half of an upload).  It raises when the AES kernel
+misses a FIPS 197 vector, or when a keystream block of any timed CTR or
+index pass does not decrypt to its counter block under the byte-wise
+inverse cipher, so the ss160 smoke run fails on a kernel bug.
 
 A fifth leg, ``pairing``, times the pairing group of the break-glass
 path: a line-table build, ``miller_loop``, ``final_exponentiation``, a
@@ -52,7 +57,8 @@ from pathlib import Path
 from repro.crypto.aes import AES
 from repro.crypto.hashes import h1_identity
 from repro.crypto.hmac_impl import HmacKey, hmac_sha256
-from repro.crypto.modes import ctr_transform
+from repro.crypto.modes import (NONCE_SIZE, SemanticCipher, ctr_transform,
+                                ctr_transform_many, semantic_encrypt_many)
 from repro.crypto.pairing import (PreparedPairing, clear_pairing_cache,
                                   final_exponentiation, miller_loop,
                                   prepared, tate_pairing)
@@ -163,16 +169,48 @@ def _time_us(fn, calls: int, iters: int) -> float:
     return _time(batch, iters) / calls * 1e6
 
 
+# FIPS 197 Appendix C: (key, ciphertext of 00112233…eeff).
+_FIPS197 = [(bytes(range(16)), "69c4e0d86a7b0430d8cdb78070b4c55a"),
+            (bytes(range(24)), "dda97ca4864cdfe06eaf70a0ec0d7191"),
+            (bytes(range(32)), "8ea2b7ca516745bfeafc49904b496089")]
+
+
+def _check_ctr(cipher: AES, nonce: bytes, data: bytes, out: bytes) -> None:
+    """Raise unless every keystream block of ``out`` decrypts to its
+    counter block under the byte-wise inverse cipher."""
+    stream = bytes(d ^ o for d, o in zip(data, out))
+    for start in range(0, len(data), 16):
+        counter = nonce + (start // 16).to_bytes(4, "big")
+        block = stream[start:start + 16]
+        if len(block) < 16:  # a partial last block: check its whole block
+            if cipher.encrypt_block(counter)[:len(block)] != block:
+                raise RuntimeError("the AES kernel's last CTR block differs")
+            block = cipher.encrypt_block(counter)
+        if cipher.decrypt_block(block) != counter:
+            raise RuntimeError("the AES kernel disagrees with the "
+                               "per-block inverse cipher")
+
+
 def bench_symmetric(params, iters: int) -> dict:
     """The patient's upload path: symmetric primitives and the upload.
 
+    ``ctr_us`` times ``ctr_transform`` per message of 1 to 256 blocks;
+    ``index_nodes_one_pass_ms`` encrypts the 60 three-block nodes of a
+    secure index in one ``semantic_encrypt_many`` call, and
+    ``index_nodes_per_node_ms`` with one ``SemanticCipher`` per node.
     ``upload_client_ms`` is the in-process client half of one upload —
     a fresh pseudonym, ``build_upload`` of a 20-file collection, and ν
     with the S-server — warm (PK_S's prepared pairing built).
     """
     from repro.core.system import build_system
     from repro.ehr.phi import generate_workload
+    from repro.sse.index import LAMBDA_BYTES, NODE_PLAINTEXT_BYTES
 
+    plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
+    for fips_key, expected in _FIPS197:
+        if AES(fips_key).encrypt_block(plaintext).hex() != expected:
+            raise RuntimeError("AES-%d misses its FIPS 197 vector"
+                               % (8 * len(fips_key)))
     key, message = bytes(range(32)), bytes(64)
     keyed = HmacKey(key)
     aes = AES(bytes(range(16)))
@@ -188,9 +226,40 @@ def bench_symmetric(params, iters: int) -> dict:
            "aes_key_schedule_us": _time_us(lambda: AES(key[:16]), 200, iters),
            "ctr_1kib_us": _time_us(lambda: ctr_transform(aes, nonce, kib),
                                    5, iters),
+           "ctr_us": {},
            "domain_prp_us": _time(lambda: [prp.encrypt(x)
                                            for x in range(alpha)], iters)
            / alpha * 1e6}
+    rng = HmacDrbg(b"bench-runner-ctr")
+    for blocks in (1, 3, 11, 64, 256):
+        data = rng.random_bytes(16 * blocks - 7)  # a partial last block
+        _check_ctr(aes, nonce, data, ctr_transform(aes, nonce, data))
+        out["ctr_us"][str(blocks)] = _time_us(
+            lambda: ctr_transform(aes, nonce, data),
+            max(1, 200 // blocks), iters)
+
+    # The index's shape: 60 three-block messages, each under its own key.
+    aes_keys = [rng.random_bytes(16) for _ in range(60)]
+    nonces = [rng.random_bytes(NONCE_SIZE) for _ in aes_keys]
+    nodes = [rng.random_bytes(NODE_PLAINTEXT_BYTES) for _ in aes_keys]
+    for aes_key, node_nonce, node, body in zip(
+            aes_keys, nonces, nodes,
+            ctr_transform_many(aes_keys, nonces, nodes)):
+        _check_ctr(AES(aes_key), node_nonce, node, body)
+    node_keys = [rng.random_bytes(LAMBDA_BYTES) for _ in aes_keys]
+    draws = HmacDrbg(b"bench-runner-nodes")
+    nonces = [draws.random_bytes(NONCE_SIZE) for _ in node_keys]
+    replay = HmacDrbg(b"bench-runner-nodes")
+    if semantic_encrypt_many(node_keys, nonces, nodes) != [
+            SemanticCipher(node_key).encrypt(node, replay)
+            for node_key, node in zip(node_keys, nodes)]:
+        raise RuntimeError("the one-pass index nodes differ from one "
+                           "SemanticCipher per node")
+    out["index_nodes_one_pass_ms"] = _time(
+        lambda: semantic_encrypt_many(node_keys, nonces, nodes), iters) * 1e3
+    out["index_nodes_per_node_ms"] = _time(
+        lambda: [SemanticCipher(node_key).encrypt(node, replay)
+                 for node_key, node in zip(node_keys, nodes)], iters) * 1e3
 
     system = build_system(seed=b"bench-runner-symmetric", params=params)
     patient, server_public = system.patient, system.sserver.identity_key.public
@@ -362,6 +431,10 @@ def main() -> None:
           % (sym["hmac_oneshot_us"], sym["hmac_keyed_us"],
              sym["aes_block_us"], sym["aes_key_schedule_us"],
              sym["ctr_1kib_us"], sym["domain_prp_us"]))
+    print("   ctr by blocks: %s us  60 index nodes: one pass %.2f ms, "
+          "one cipher per node %.2f ms"
+          % ("  ".join("%s: %.0f" % item for item in sym["ctr_us"].items()),
+             sym["index_nodes_one_pass_ms"], sym["index_nodes_per_node_ms"]))
     print("   build_upload (20 files) %.2f ms  client half %.2f ms"
           % (sym["build_upload_ms"], sym["upload_client_ms"]))
 

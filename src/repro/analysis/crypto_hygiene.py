@@ -15,9 +15,11 @@ Three checks, all motivated by attacks the paper's threat model admits:
   :class:`~repro.crypto.rng.HmacDrbg`.  The only allowed importer is
   the fault-injection plan (``net/transport/faults.py``), which *wants*
   a cheap seeded stream and never touches key material.
-* **Literal IV/nonce** — a constant ``iv=``/``nonce=`` argument (or a
-  bytes literal in the IV slot of ``ctr_transform``/``cbc_encrypt``)
-  turns CTR into a two-time pad and CBC into a deterministic cipher.
+* **Literal IV/nonce** — a constant ``iv=``/``nonce=``/``nonces=``
+  argument (or a bytes literal in the IV slot of ``ctr_transform``/
+  ``cbc_encrypt``, or in the nonce list of the batch entry points
+  ``ctr_transform_many``/``semantic_encrypt_many``) turns CTR into a
+  two-time pad and CBC into a deterministic cipher.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ MACLIKE_CALLS = frozenset({"hmac_sha256", "mac", "digest", "hexdigest"})
 
 RANDOM_ALLOWED = frozenset({"src/repro/net/transport/faults.py"})
 
-IV_PARAM_NAMES = frozenset({"iv", "nonce"})
-IV_POSITIONAL = {"ctr_transform": 1, "cbc_encrypt": 1, "cbc_decrypt": 1}
+IV_PARAM_NAMES = frozenset({"iv", "nonce", "nonces"})
+IV_POSITIONAL = {"ctr_transform": 1, "cbc_encrypt": 1, "cbc_decrypt": 1,
+                 "ctr_transform_many": 1, "semantic_encrypt_many": 1}
 
 
 def _terminal(node: ast.AST) -> str | None:
@@ -51,11 +54,16 @@ def _terminal(node: ast.AST) -> str | None:
 
 
 def _literal_bytes(node: ast.AST) -> bool:
-    """A bytes constant, including the ``b"\\x00" * 16`` idiom."""
+    """A bytes constant, including the ``b"\\x00" * 16`` idiom, or a
+    nonce list holding one (``[b"..."] * n``, ``[b"..." for _ in xs]``)."""
     if isinstance(node, ast.Constant):
         return isinstance(node.value, bytes)
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
         return _literal_bytes(node.left) or _literal_bytes(node.right)
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return any(_literal_bytes(element) for element in node.elts)
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+        return _literal_bytes(node.elt)
     return False
 
 

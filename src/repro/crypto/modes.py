@@ -3,10 +3,13 @@
 Provides the semantically secure symmetric encryption the paper calls
 E / E′, in three layers:
 
-* :func:`ctr_transform` — raw AES-CTR keystream XOR (enc == dec).
+* :func:`ctr_transform` — raw AES-CTR keystream XOR (enc == dec);
+  :func:`ctr_transform_many` runs many messages, one key each, through
+  the same single kernel pass.
 * :class:`SemanticCipher` — randomized CTR encryption with a fresh nonce
   per message (IND-CPA); this is the paper's "semantically secure symmetric
-  key encryption E" used for secure-index nodes.
+  key encryption E" used for secure-index nodes, which
+  :func:`semantic_encrypt_many` encrypts in one pass per index.
 * :class:`AuthenticatedCipher` — encrypt-then-MAC (AES-CTR + HMAC-SHA256)
   for protocol payloads where integrity matters (E′ in privilege
   assignment / REVOKE messages).
@@ -18,7 +21,9 @@ derived via HMAC with distinct labels.
 
 from __future__ import annotations
 
-from repro.crypto.aes import AES, BLOCK_SIZE
+from typing import Sequence
+
+from repro.crypto.aes import AES, BLOCK_SIZE, encrypt_blocks, expand_keys
 from repro.crypto.hmac_impl import HmacKey, hmac_sha256
 from repro.crypto.rng import HmacDrbg
 from repro.exceptions import DecryptionError, ParameterError
@@ -27,22 +32,52 @@ NONCE_SIZE = 12
 TAG_SIZE = 32
 
 
-def ctr_transform(cipher: AES, nonce: bytes, data: bytes) -> bytes:
-    """CTR-mode keystream XOR: encrypt and decrypt are the same operation.
+def _ctr_pass(round_keys: Sequence[bytes], nonces: Sequence[bytes],
+              messages: Sequence[bytes]) -> list[bytes]:
+    """CTR over every message in one kernel pass; message j runs under
+    lane j of ``round_keys`` (from :func:`~repro.crypto.aes.expand_keys`).
 
-    The 16-byte counter block is ``nonce (12 bytes) ‖ counter (4 bytes)``,
-    so one nonce safely covers 2³² blocks (64 GiB), far beyond any PHI file.
+    The counter block is ``nonce (12 bytes) ‖ counter (4 bytes)``, so one
+    nonce safely covers 2³² blocks (64 GiB), far beyond any PHI file.
+    Lanes are block-major — lane b·count + j is counter b of message j —
+    so widening the round keys to every lane is one bytes repetition;
+    messages shorter than the longest are padded with unused lanes.
     """
-    if len(nonce) != NONCE_SIZE:
+    count = len(messages)
+    if len(nonces) != count or len(round_keys[0]) != BLOCK_SIZE * count:
+        raise ParameterError("one key and one nonce per CTR message")
+    if any(len(nonce) != NONCE_SIZE for nonce in nonces):
         raise ParameterError("CTR nonce must be %d bytes" % NONCE_SIZE)
-    encrypt = cipher.encrypt_block
-    keystream = b"".join(
-        encrypt(nonce + block_index.to_bytes(4, "big"))
-        for block_index in range(-(-len(data) // BLOCK_SIZE)))
-    # One big-integer XOR over the whole buffer (keystream cut to length).
-    return (int.from_bytes(data, "big")
-            ^ int.from_bytes(keystream[:len(data)], "big")
-            ).to_bytes(len(data), "big")
+    depth = max((-(-len(message) // BLOCK_SIZE) for message in messages),
+                default=0)
+    counters = b"".join(nonce + index.to_bytes(4, "big")
+                        for index in range(depth) for nonce in nonces)
+    stream = encrypt_blocks([key * depth for key in round_keys], counters)
+    stride = BLOCK_SIZE * count
+    results = []
+    for j, message in enumerate(messages):
+        size = len(message)
+        keystream = b"".join(
+            stream[i:i + BLOCK_SIZE]
+            for i in range(BLOCK_SIZE * j, stride * -(-size // BLOCK_SIZE),
+                           stride))
+        # One big-integer XOR per message (keystream cut to length).
+        results.append((int.from_bytes(message, "big")
+                        ^ int.from_bytes(keystream[:size], "big")
+                        ).to_bytes(size, "big"))
+    return results
+
+
+def ctr_transform(cipher: AES, nonce: bytes, data: bytes) -> bytes:
+    """CTR-mode keystream XOR: encrypt and decrypt are the same operation."""
+    return _ctr_pass(cipher.round_keys, [nonce], [data])[0]
+
+
+def ctr_transform_many(keys: Sequence[bytes], nonces: Sequence[bytes],
+                       messages: Sequence[bytes]) -> list[bytes]:
+    """``ctr_transform(AES(keys[j]), nonces[j], messages[j])`` for every j,
+    in one key-schedule pass and one kernel pass (keys of one size)."""
+    return _ctr_pass(expand_keys(keys), nonces, messages)
 
 
 def _derive_key(master: bytes, label: bytes, length: int = 16) -> bytes:
@@ -76,6 +111,21 @@ class SemanticCipher:
             raise DecryptionError("ciphertext shorter than the nonce")
         nonce, body = ciphertext[:NONCE_SIZE], ciphertext[NONCE_SIZE:]
         return ctr_transform(self._aes, nonce, body)
+
+
+def semantic_encrypt_many(keys: Sequence[bytes], nonces: Sequence[bytes],
+                          plaintexts: Sequence[bytes]) -> list[bytes]:
+    """:meth:`SemanticCipher.encrypt` of ``plaintexts[j]`` under
+    ``keys[j]`` with nonce ``nonces[j]``, for every j in one pass.
+
+    The same bytes as one cipher per message; the caller draws the
+    nonces (the secure index interleaves them with its node keys).
+    """
+    if not all(keys):
+        raise ParameterError("empty key")
+    bodies = ctr_transform_many([_derive_key(key, b"enc") for key in keys],
+                                nonces, plaintexts)
+    return [nonce + body for nonce, body in zip(nonces, bodies)]
 
 
 class AuthenticatedCipher:

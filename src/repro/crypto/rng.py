@@ -9,6 +9,14 @@ The generator exposes the small ``random``-module-like surface the rest of
 the code needs (:meth:`randint`, :meth:`random_bytes`, :meth:`choice`,
 :meth:`shuffle`, :meth:`uniform`, :meth:`gauss`) on top of the SP 800-90A
 update/generate core.
+
+The core keeps the keyed :class:`~repro.crypto.hmac_impl.HmacKey` of its
+current key K rather than the bytes of K: the generate step and the
+update's first MAC share one K, and the next call's generate step uses
+the K′ the update just made, so a :meth:`random_bytes` call of up to 32
+bytes costs one key set-up and three MACs.  Live hashlib state cannot be
+pickled, and so neither can a generator; nothing ships one to another
+process.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import MutableSequence, Sequence, TypeVar
 
-from repro.crypto.hmac_impl import hmac_sha256
+from repro.crypto.hmac_impl import HmacKey
 from repro.exceptions import ParameterError
 
 T = TypeVar("T")
@@ -30,18 +38,18 @@ class HmacDrbg:
             seed = seed.encode()
         elif isinstance(seed, int):
             seed = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")
-        self._key = b"\x00" * 32
+        self._key = HmacKey(b"\x00" * 32)    # K, keyed
         self._value = b"\x01" * 32
         self._update(seed + personalization)
         self._gauss_spare: float | None = None
 
     # -- SP 800-90A core ---------------------------------------------------
     def _update(self, data: bytes = b"") -> None:
-        self._key = hmac_sha256(self._key, self._value + b"\x00" + data)
-        self._value = hmac_sha256(self._key, self._value)
+        self._key = HmacKey(self._key.mac(self._value + b"\x00" + data))
+        self._value = self._key.mac(self._value)
         if data:
-            self._key = hmac_sha256(self._key, self._value + b"\x01" + data)
-            self._value = hmac_sha256(self._key, self._value)
+            self._key = HmacKey(self._key.mac(self._value + b"\x01" + data))
+            self._value = self._key.mac(self._value)
 
     def reseed(self, data: bytes) -> None:
         """Mix additional entropy/domain-separation into the state."""
@@ -53,7 +61,7 @@ class HmacDrbg:
             raise ParameterError("cannot generate a negative number of bytes")
         output = b""
         while len(output) < n:
-            self._value = hmac_sha256(self._key, self._value)
+            self._value = self._key.mac(self._value)
             output += self._value
         self._update()
         return output[:n]

@@ -101,17 +101,23 @@ class MhiWindow:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MhiWindow":
-        lines = data.decode().split("\n")
-        if not lines or not lines[0].startswith("MHI;"):
-            raise ParameterError("not an MHI window encoding")
-        _, day, days_blob = lines[0].split(";")
-        window = cls(day=day,
-                     searchable_days=[d for d in days_blob.split(",") if d])
-        for row in lines[1:]:
-            _, t, vital, value = row.split("|")
-            window.samples.append(Sample(t=float(t),
-                                         vital=VitalSign(vital),
-                                         value=float(value)))
+        """Inverse of :meth:`to_bytes`.  The bytes come out of a role
+        ciphertext the S-server returned, so every malformed encoding
+        raises :class:`ParameterError`."""
+        try:
+            lines = data.decode().split("\n")
+            if not lines[0].startswith("MHI;"):
+                raise ParameterError("not an MHI window encoding")
+            _, day, days_blob = lines[0].split(";")
+            window = cls(day=day, searchable_days=[
+                d for d in days_blob.split(",") if d])
+            for row in lines[1:]:
+                _, t, vital, value = row.split("|")
+                window.samples.append(Sample(t=float(t),
+                                             vital=VitalSign(vital),
+                                             value=float(value)))
+        except ValueError as exc:   # incl. UnicodeDecodeError
+            raise ParameterError("malformed MHI window encoding") from exc
         return window
 
     def values_for(self, vital: VitalSign) -> list[float]:

@@ -33,7 +33,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.crypto.modes import SemanticCipher
+from repro.crypto.modes import (NONCE_SIZE, SemanticCipher,
+                                semantic_encrypt_many)
 from repro.crypto.prf import Prf
 from repro.crypto.prp import DomainPrp
 from repro.crypto.rng import HmacDrbg
@@ -220,6 +221,13 @@ def build_secure_index(
     array: list[bytes | None] = [None] * array_size
     table_entries: dict[int, bytes] = {}
     counter = 0  # Fig. 2's global counter C (0-based here)
+    # The walk draws each node's λ_next and then its nonce, the order a
+    # cipher per node would draw them in, so the index keeps its bytes;
+    # every node is then encrypted in one pass after the walk.
+    slots: list[int] = []
+    node_keys: list[bytes] = []
+    nonces: list[bytes] = []
+    nodes: list[bytes] = []
 
     # Deterministic keyword order keeps builds reproducible from one seed.
     for keyword in sorted(keyword_to_fids):
@@ -237,9 +245,12 @@ def build_secure_index(
             tail = j == len(fids) - 1
             lam_next = rng.random_bytes(LAMBDA_BYTES)
             next_addr = 0 if tail else phi.encrypt(counter + 1)
-            node = _pack_node(fid, lam_next if not tail else bytes(LAMBDA_BYTES),
-                              next_addr, tail)
-            array[slot] = SemanticCipher(lam_prev).encrypt(node, rng)
+            nodes.append(_pack_node(
+                fid, lam_next if not tail else bytes(LAMBDA_BYTES),
+                next_addr, tail))
+            nonces.append(rng.random_bytes(NONCE_SIZE))
+            node_keys.append(lam_prev)
+            slots.append(slot)
             slot = next_addr
             lam_prev = lam_next
             counter += 1
@@ -253,6 +264,10 @@ def build_secure_index(
                                  "(increase β)")
         table_entries[virtual_address] = bytes(
             v ^ m for v, m in zip(value, mask))
+
+    for slot, ciphertext in zip(slots, semantic_encrypt_many(
+            node_keys, nonces, nodes)):
+        array[slot] = ciphertext
 
     # Pad A: unused slots get random blocks indistinguishable from nodes.
     for i, slot in enumerate(array):

@@ -107,3 +107,24 @@ def test_fresh_iv_is_clean(rule):
 def seal(key, data, rng):
     return cbc_encrypt(key, rng.bytes(16), data)
 """, rule)
+
+
+def test_literal_nonce_list_in_batch_flags(rule):
+    findings = analyze_source("""
+def seal_nodes(keys, nodes):
+    return semantic_encrypt_many(keys, [b"\\x00" * 12] * len(keys), nodes)
+""", rule)
+    assert findings and "semantic_encrypt_many" in findings[0].message
+    assert analyze_source("""
+def seal_all(keys, messages):
+    return ctr_transform_many(keys, nonces=[b"fixed-nonce!" for _ in keys],
+                              messages=messages)
+""", rule)
+
+
+def test_drawn_nonce_list_in_batch_is_clean(rule):
+    assert not analyze_source("""
+def seal_nodes(keys, nodes, rng):
+    nonces = [rng.random_bytes(12) for _ in keys]
+    return semantic_encrypt_many(keys, nonces, nodes)
+""", rule)

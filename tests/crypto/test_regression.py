@@ -473,6 +473,28 @@ class TestUploadCosts:
         Sse1Scheme(keygen(rng)).build_index(keyword_map, rng)
         assert sorted(calls) == list(range(nodes))
 
+    def test_index_nodes_encrypted_in_one_kernel_pass(self, monkeypatch):
+        from repro.crypto import modes
+        from repro.ehr.phi import generate_workload
+        from repro.sse.index import NODE_PLAINTEXT_BYTES
+        from repro.sse.scheme import Sse1Scheme, keygen
+
+        collection = generate_workload(HmacDrbg(b"kernel-count"), 20)
+        keyword_map = collection.keyword_map()
+        nodes = sum(len(fids) for fids in keyword_map.values())
+        passes = []
+        original = modes.encrypt_blocks
+
+        def counting_pass(round_keys, blocks):
+            passes.append(len(blocks) // 16)
+            return original(round_keys, blocks)
+
+        monkeypatch.setattr(modes, "encrypt_blocks", counting_pass)
+        rng = HmacDrbg(b"kernel-count-keys")
+        Sse1Scheme(keygen(rng)).build_index(keyword_map, rng)
+        # Every node is three blocks under its own λ, all in one pass.
+        assert passes == [-(-NODE_PLAINTEXT_BYTES // 16) * nodes]
+
 
 HMAC_PIN = "1d7111ffc148ff7c78a4ec4575667c5f291a397ebc1e04f5d4eb1c989735381b"
 DRBG_PIN = "ec71ed2cf0d3de4ce832c47f9df201c37518f2f96466daf87527efa18731568d"

@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.aes import AES, BLOCK_SIZE
+from repro.crypto.aes import AES, BLOCK_SIZE, encrypt_blocks, expand_keys
 from repro.crypto.hmac_impl import (constant_time_equal, hmac_sha256,
                                     verify_hmac)
-from repro.crypto.modes import (AuthenticatedCipher, SemanticCipher,
-                                cbc_decrypt, cbc_encrypt, ctr_transform)
+from repro.crypto.modes import (NONCE_SIZE, AuthenticatedCipher,
+                                SemanticCipher, cbc_decrypt, cbc_encrypt,
+                                ctr_transform, ctr_transform_many,
+                                semantic_encrypt_many)
 from repro.crypto.prf import Prf, prf_int
 from repro.crypto.rng import HmacDrbg
 from repro.exceptions import DecryptionError, IntegrityError, ParameterError
@@ -258,3 +260,58 @@ class TestModes:
         cipher = AES(bytes(16))
         with pytest.raises(DecryptionError):
             cbc_decrypt(cipher, bytes(16), b"odd-length!")
+
+
+class TestKernel:
+    """One kernel pass over many messages and keys, held to the per-message
+    path and to the byte-wise FIPS 197 inverse cipher."""
+
+    @given(st.sampled_from([16, 24, 32]),
+           st.lists(st.tuples(st.binary(min_size=32, max_size=32),
+                              st.binary(min_size=NONCE_SIZE,
+                                        max_size=NONCE_SIZE),
+                              st.integers(0, 40 * BLOCK_SIZE)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_one_pass_matches_each_message(self, key_size, specs):
+        keys = [key[:key_size] for key, _, _ in specs]
+        nonces = [nonce for _, nonce, _ in specs]
+        messages = [HmacDrbg(nonce).random_bytes(length)
+                    for _, nonce, length in specs]
+        outputs = ctr_transform_many(keys, nonces, messages)
+        assert len(outputs) == len(messages)
+        for key, nonce, message, output in zip(keys, nonces, messages,
+                                               outputs):
+            cipher = AES(key)
+            assert output == ctr_transform(cipher, nonce, message)
+            stream = bytes(m ^ o for m, o in zip(message, output))
+            for start in range(0, len(message), BLOCK_SIZE):
+                counter = nonce + (start // BLOCK_SIZE).to_bytes(4, "big")
+                block = cipher.encrypt_block(counter)
+                assert cipher.decrypt_block(block) == counter
+                assert stream[start:start + BLOCK_SIZE] == block[
+                    :len(stream) - start]
+
+    def test_semantic_batch_matches_one_cipher_each(self):
+        keys = [b"k", bytes(16), b"x" * 70]
+        plaintexts = [b"", b"node" * 11, bytes(100)]
+        rng = HmacDrbg(b"batch")
+        singles = [SemanticCipher(key).encrypt(plaintext, rng)
+                   for key, plaintext in zip(keys, plaintexts)]
+        rng = HmacDrbg(b"batch")
+        nonces = [rng.random_bytes(NONCE_SIZE) for _ in keys]
+        assert semantic_encrypt_many(keys, nonces, plaintexts) == singles
+        assert semantic_encrypt_many([], [], []) == []
+
+    def test_bad_batches_raise(self):
+        nonce = bytes(NONCE_SIZE)
+        with pytest.raises(ParameterError):
+            ctr_transform_many([bytes(16), bytes(24)], [nonce] * 2, [b"a"] * 2)
+        with pytest.raises(ParameterError):
+            ctr_transform_many([bytes(16)], [nonce] * 2, [b"a"] * 2)
+        with pytest.raises(ParameterError):
+            ctr_transform_many([bytes(16)], [b"short"], [b"a"])
+        with pytest.raises(ParameterError):
+            semantic_encrypt_many([b""], [nonce], [b"a"])
+        with pytest.raises(ParameterError):
+            encrypt_blocks(expand_keys([bytes(16)]), bytes(32))

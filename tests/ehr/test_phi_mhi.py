@@ -1,6 +1,7 @@
 """PHI workload-generation and MHI vitals tests."""
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.crypto.rng import HmacDrbg
 from repro.ehr.mhi import (ALARM_THRESHOLDS, AnomalyKind, MhiWindow,
@@ -13,6 +14,31 @@ from repro.exceptions import ParameterError
 @pytest.fixture()
 def rng():
     return HmacDrbg(b"phi-mhi")
+
+
+_VALID_WINDOW = VitalsGenerator(
+    HmacDrbg(b"mhi-fuzz"), sample_interval_s=6 * 3600.0).generate_day(
+        "2026-07-01").to_bytes()
+
+
+@st.composite
+def _mutated_window(draw):
+    """A valid window encoding after a few byte edits, cuts and splices."""
+    data = bytearray(_VALID_WINDOW)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "cut"]))
+        byte = draw(st.one_of(st.sampled_from(b";|\n,.-e"),
+                              st.integers(0, 255)))
+        if edit == "replace" and at < len(data):
+            data[at] = byte
+        elif edit == "insert":
+            data.insert(at, byte)
+        elif edit == "delete" and at < len(data):
+            del data[at]
+        elif edit == "cut":
+            del data[at:]
+    return bytes(data)
 
 
 class TestPhiCollection:
@@ -119,6 +145,18 @@ class TestVitalsGenerator:
     def test_bad_encoding_rejected(self):
         with pytest.raises(ParameterError):
             MhiWindow.from_bytes(b"not an MHI window")
+
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=120), _mutated_window()))
+    def test_malformed_encodings_raise_parameter_error(self, data):
+        """A window comes back from the S-server inside a role ciphertext
+        anyone can make, so any bytes yield a window or ParameterError."""
+        try:
+            window = MhiWindow.from_bytes(data)
+        except ParameterError:
+            return
+        assert isinstance(window, MhiWindow)
 
     def test_values_physiological(self, rng):
         """Baseline samples stay within broad physiological ranges."""
