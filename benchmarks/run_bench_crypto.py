@@ -23,6 +23,13 @@ misses a FIPS 197 vector, or when a keystream block of any timed CTR or
 index pass does not decrypt to its counter block under the byte-wise
 inverse cipher, so the ss160 smoke run fails on a kernel bug.
 
+A ``shortcuts`` leg times the two exact shortcuts of the patient's
+upload against their direct forms: φ over a 60-node walk (a fresh
+``DomainPrp`` per walk, as each upload builds one) with its round tables
+and with every round MACed, and ν of a fresh pseudonym as the pairing
+``shared_key_from_points(PK_S, Γ′)`` and as ``session_key_with``'s
+ê(PK_S, Γ)^ρ.  It raises when either pair of results differs.
+
 A fifth leg, ``pairing``, times the pairing group of the break-glass
 path: a line-table build, ``miller_loop``, ``final_exponentiation``, a
 160-bit G2 power, and hash-to-G1 cold and memoised.  It raises when
@@ -59,6 +66,7 @@ from repro.crypto.hashes import h1_identity
 from repro.crypto.hmac_impl import HmacKey, hmac_sha256
 from repro.crypto.modes import (NONCE_SIZE, SemanticCipher, ctr_transform,
                                 ctr_transform_many, semantic_encrypt_many)
+from repro.crypto.nike import shared_key_from_points
 from repro.crypto.pairing import (PreparedPairing, clear_pairing_cache,
                                   final_exponentiation, miller_loop,
                                   prepared, tate_pairing)
@@ -277,6 +285,46 @@ def bench_symmetric(params, iters: int) -> dict:
     return out
 
 
+def bench_shortcuts(params, iters: int) -> dict:
+    """φ with and without its round tables; ν by pairing and by ρ.
+
+    ``phi_*_ms`` walk the 60 node addresses of a 20-file index (α = 72)
+    through a fresh ``DomainPrp``, round tables filled during the walk;
+    the direct walk drops the tables, so every round MACs.  ``nu_*_ms``
+    derive ν for fresh pseudonyms with the S-server's prepared pairing
+    warm and the patient's ê(PK_S, Γ) made.
+    """
+    from repro.core.system import build_system
+
+    key, alpha, nodes = bytes(range(32)), 72, 60
+
+    def phi_walk(tabled: bool) -> list:
+        prp = DomainPrp(key, alpha)
+        if not tabled:
+            prp._feistel._tables = [None] * prp._feistel.rounds
+        return [prp.encrypt(x) for x in range(nodes)]
+
+    if phi_walk(True) != phi_walk(False):
+        raise RuntimeError("the tabled φ walk differs from the direct one")
+    system = build_system(seed=b"bench-runner-shortcuts", params=params)
+    patient, server_public = system.patient, system.sserver.identity_key.public
+    pseudonyms = [patient.fresh_pseudonym() for _ in range(iters)]
+    for pseudonym in pseudonyms:
+        if patient.session_key_with(server_public, pseudonym) != \
+                shared_key_from_points(server_public, pseudonym.private):
+            raise RuntimeError("ν by ρ differs from ν by pairing")
+    return {"cpu_count": os.cpu_count(),
+            "phi_tabled_ms": _time(lambda: phi_walk(True), iters) * 1e3,
+            "phi_direct_ms": _time(lambda: phi_walk(False), iters) * 1e3,
+            "nu_pairing_ms": _time_each(
+                lambda pair: shared_key_from_points(server_public,
+                                                    pair.private),
+                pseudonyms) * 1e3,
+            "nu_rho_ms": _time_each(
+                lambda pair: patient.session_key_with(server_public, pair),
+                pseudonyms) * 1e3}
+
+
 def bench_pairing(params, iters: int) -> dict:
     """The pairing group of the break-glass path, one call at a time.
 
@@ -437,6 +485,14 @@ def main() -> None:
              sym["index_nodes_one_pass_ms"], sym["index_nodes_per_node_ms"]))
     print("   build_upload (20 files) %.2f ms  client half %.2f ms"
           % (sym["build_upload_ms"], sym["upload_client_ms"]))
+
+    print("== upload shortcuts (%s, %s cores) =="
+          % (args.params, os.cpu_count()))
+    results["shortcuts"] = sc = bench_shortcuts(params, args.iters)
+    print("   φ 60-node walk: tabled %.3f ms  direct %.3f ms  "
+          "ν: pairing %.3f ms  ρ power %.3f ms"
+          % (sc["phi_tabled_ms"], sc["phi_direct_ms"], sc["nu_pairing_ms"],
+             sc["nu_rho_ms"]))
 
     print("== pairing group (%s, %s cores) ==" % (args.params, os.cpu_count()))
     results["pairing"] = pg = bench_pairing(params, args.iters)

@@ -15,7 +15,8 @@ The pass is an intraprocedural name-based taint analysis:
 * **Sources** — identifiers whose terminal name matches the secret
   taxonomy: the master/group secrets (``master_secret``, ``group_secret``,
   ``*_secret``, ``d_new``), SSE/SOK/session keys (``session_key``,
-  ``sse_key*``, ``omega``, ``nu``, ``preshared*``, ``_mu``/``mu_value``),
+  ``sse_key*``, ``omega``, ``nu``, ``rho`` — the MHI SOK key and a
+  pseudonym's scalar — ``preshared*``, ``_mu``/``mu_value``),
   emergency material (``nounce``, ``passcode``), private key points
   (``*private*``), and plaintext search keywords (``keyword``/``kw*`` —
   keyword privacy is the point of the SSE layer, §IV.B/D).
@@ -72,7 +73,7 @@ from repro.analysis.framework import (Finding, Module, Project, Rule,
 SECRET_NAME = re.compile(
     r"(^|_)(secret|nounce|passcode|preshared|master|private)($|_)"
     r"|group_secret|session_key|sse_key|keystore"
-    r"|^_?mu(_value)?$|^omega$|^nu$|^d_new$"
+    r"|^_?mu(_value)?$|^omega$|^nu$|^rho$|^d_new$"
     r"|^keyword(s)?$|^kw[0-9]?$",
     re.IGNORECASE)
 

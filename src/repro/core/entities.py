@@ -26,7 +26,9 @@ from repro.crypto.ec import Point
 from repro.crypto.hmac_impl import constant_time_equal, hmac_sha256
 from repro.crypto.ibe import IdentityKeyPair
 from repro.crypto.ibs import IbsSignature, sign as ibs_sign
-from repro.crypto.nike import StaticKeyCache, shared_key_from_points
+from repro.crypto.memo import LruMemo
+from repro.crypto.nike import (StaticKeyCache, derive_shared_key,
+                               shared_key_from_points, sok_value)
 from repro.crypto.params import DomainParams
 from repro.crypto.pseudonym import TemporaryKeyPair, self_generate
 from repro.crypto.rng import HmacDrbg
@@ -123,6 +125,9 @@ class Patient:
         self.pkg_public = pkg_public
         self.rng = rng
         self._base_pair = temporary_pair
+        # g = ê(PK_S, Γ) per S-server key: ν of a pseudonym derived from Γ
+        # is g^ρ.  Memory only, like every SOK value.
+        self._server_values = LruMemo(StaticKeyCache.CAPACITY)
         # System setup (§IV.A): SSE keygen on the home PC.
         self.sse_keys: SseKeys = keygen(rng)
         self.sse = Sse1Scheme(self.sse_keys)
@@ -148,11 +153,18 @@ class Patient:
                          pseudonym: TemporaryKeyPair) -> bytes:
         """ν = ê(Γ_p, PK_S), derived locally — no key exchange messages.
 
-        Evaluated as ê(PK_S, Γ_p) (the pairing is symmetric): the
-        S-server's long-lived key takes the prepared slot, not the fresh
-        pseudonym's.
+        For a pseudonym derived here, Γ_p = ρΓ and ν's value is
+        ê(PK_S, Γ)^ρ: one G2 power of a value paired once per S-server
+        key.  Any other pair is paired as ê(PK_S, Γ_p) (the pairing is
+        symmetric): the S-server's long-lived key takes the prepared
+        slot, not the pseudonym's.
         """
-        return shared_key_from_points(server_public, pseudonym.private)
+        base = self._base_pair.private
+        if pseudonym.rho is None or pseudonym.origin != base:
+            return shared_key_from_points(server_public, pseudonym.private)
+        value = self._server_values.get(server_public, sok_value,
+                                        server_public, base)
+        return derive_shared_key(value ** pseudonym.rho)
 
     # -- PHI authoring ----------------------------------------------------
     def add_record(self, category: Category, keywords: list[str],

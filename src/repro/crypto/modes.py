@@ -12,7 +12,8 @@ E / E′, in three layers:
   :func:`semantic_encrypt_many` encrypts in one pass per index.
 * :class:`AuthenticatedCipher` — encrypt-then-MAC (AES-CTR + HMAC-SHA256)
   for protocol payloads where integrity matters (E′ in privilege
-  assignment / REVOKE messages).
+  assignment / REVOKE messages); :meth:`~AuthenticatedCipher.encrypt_many`
+  encrypts a whole PHI file collection in one pass, one MAC per file.
 
 Nonces are drawn from a DRBG passed by the caller so experiments stay
 reproducible.  Key separation between the encryption and MAC keys is
@@ -150,6 +151,20 @@ class AuthenticatedCipher:
         body = ctr_transform(self._aes, nonce, plaintext)
         tag = self._mac.mac(nonce + body + associated_data)
         return nonce + body + tag
+
+    def encrypt_many(self, plaintexts: Sequence[bytes],
+                     rng: HmacDrbg) -> list[bytes]:
+        """:meth:`encrypt` of each plaintext in turn, in one kernel pass.
+
+        The nonces are drawn in order before the pass, as the calls one
+        by one would draw them, so the bytes are the same.
+        """
+        nonces = [rng.random_bytes(NONCE_SIZE) for _ in plaintexts]
+        lanes = len(plaintexts)
+        bodies = _ctr_pass([key * lanes for key in self._aes.round_keys],
+                           nonces, plaintexts)
+        return [nonce + body + self._mac.mac(nonce + body)
+                for nonce, body in zip(nonces, bodies)]
 
     def decrypt(self, ciphertext: bytes, associated_data: bytes = b"") -> bytes:
         if len(ciphertext) < NONCE_SIZE + TAG_SIZE:

@@ -23,6 +23,12 @@ the S-server sees the same client point again and again: a family
 member's or P-device's package pseudonym TP_p in each request of an
 exchange and in later ones, and a role key PK_r in every search of its
 window.  The S-server keeps them in a :class:`StaticKeyCache` too.
+
+The patient's side of ν needs no pairing per pseudonym: it made Γ′ = ρΓ
+itself, so ν's value ê(PK_S, Γ′) = g^ρ with g = ê(PK_S, Γ) fixed per
+S-server key (bilinearity).  :func:`sok_value` gives g once per server and
+:func:`derive_shared_key` turns g^ρ into ν, the same KDF as
+:func:`shared_key_from_points`, so ν is byte-identical either way.
 """
 
 from __future__ import annotations
@@ -30,13 +36,14 @@ from __future__ import annotations
 import hashlib
 
 from repro.crypto.ec import Point
+from repro.crypto.fields import Fp2Element
 from repro.crypto.ibe import IdentityKeyPair
 from repro.crypto.memo import LruMemo
 from repro.crypto.pairing import prepared
 from repro.exceptions import ParameterError
 
-__all__ = ["shared_key", "shared_key_from_points", "StaticKeyCache",
-           "SHARED_KEY_SIZE"]
+__all__ = ["shared_key", "shared_key_from_points", "sok_value",
+           "derive_shared_key", "StaticKeyCache", "SHARED_KEY_SIZE"]
 
 SHARED_KEY_SIZE = 32
 
@@ -51,9 +58,18 @@ def shared_key_from_points(long_lived: Point, ephemeral: Point) -> bytes:
     byte for byte).  An ephemeral point in the first slot would build —
     and push into the bounded cache — a preparation used exactly once.
     """
+    return derive_shared_key(sok_value(long_lived, ephemeral))
+
+
+def sok_value(long_lived: Point, ephemeral: Point) -> Fp2Element:
+    """The pairing value ê(long_lived, ephemeral) behind a SOK key."""
     if long_lived.is_infinity or ephemeral.is_infinity:
         raise ParameterError("NIKE inputs must be non-infinity points")
-    value = prepared(long_lived).pair(ephemeral)
+    return prepared(long_lived).pair(ephemeral)
+
+
+def derive_shared_key(value: Fp2Element) -> bytes:
+    """The KDF from a SOK pairing value to a 32-byte shared key."""
     return hashlib.sha256(b"HCPP-NIKE:" + value.to_bytes()).digest()[:SHARED_KEY_SIZE]
 
 

@@ -20,11 +20,20 @@ linkage would require solving a DDH-like problem on public data
 point.  Validity of a pair can nevertheless be *proved* by its holder by
 signing with Γ′ (Hess IBS verifies against H1-free public key TP′
 directly), which is how the S-server checks pseudonymous clients.
+
+**ρ stays with its holder.**  A derived pair keeps ρ and the Γ it
+scaled, so the patient can derive ν = ê(PK_S, Γ′) = ê(PK_S, Γ)^ρ as one
+G2 power of a value fixed per S-server, instead of a pairing
+(:meth:`repro.core.entities.Patient.session_key_with`).  ρ is as secret as
+Γ itself — anyone holding ρ and Γ′ recovers Γ = ρ⁻¹Γ′ — so it lives in
+process memory only: it is left out of ``==``, ``repr`` and every
+encoding (pickles and copies included), and a pair parsed from bytes
+has none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.ec import Point
 from repro.crypto.params import DomainParams
@@ -41,6 +50,13 @@ class TemporaryKeyPair:
 
     public: Point   # TP_p
     private: Point  # Γ_p
+    # For a pair made by self_generate: ρ and the Γ it scaled (Γ′ = ρ·Γ).
+    rho: int | None = field(default=None, compare=False, repr=False)
+    origin: Point | None = field(default=None, compare=False, repr=False)
+
+    def __reduce__(self):
+        # Pickles and copies hold the pair only, never ρ.
+        return TemporaryKeyPair, (self.public, self.private)
 
     def verify_consistency(self, params: DomainParams, pkg_public: Point) -> bool:
         """Check ê(Γ, P) == ê(TP, P_pub), i.e. Γ = s0·TP without knowing s0."""
@@ -62,10 +78,12 @@ def self_generate(pair: TemporaryKeyPair, params: DomainParams,
     """Patient-side derivation of a fresh unlinkable pair TP′=ρTP, Γ′=ρΓ.
 
     The pool pair is long-lived, so both products go through its
-    fixed-base combs.
+    fixed-base combs.  The new pair keeps ρ and Γ (see the module
+    docstring).
     """
     if pair.public.is_infinity:
         raise ParameterError("cannot derive from the infinity pair")
     rho = params.random_scalar(rng)
     return TemporaryKeyPair(public=fixed_base_mul(pair.public, rho),
-                            private=fixed_base_mul(pair.private, rho))
+                            private=fixed_base_mul(pair.private, rho),
+                            rho=rho, origin=pair.private)

@@ -94,6 +94,14 @@ def debug(omega):
 """)
 
 
+def test_repr_of_rho(rule):
+    # ρ names the MHI SOK key and a pseudonym's scalar (ρ⁻¹Γ′ = Γ).
+    assert _hits(rule, """
+def debug(rho):
+    return repr(rho)
+""")
+
+
 def test_sanitizers_stop_taint(rule):
     # Sizes/digests of secrets are public by design (the experiments
     # report them) — no finding.

@@ -1,7 +1,7 @@
 """PRP tests: bijectivity, invertibility, key separation (hypothesis)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.crypto.prp import DomainPrp, FeistelPrp
 from repro.exceptions import ParameterError
@@ -103,3 +103,61 @@ class TestDomainPrp:
     def test_different_keys_differ(self):
         a, b = DomainPrp(b"k1", 1000), DomainPrp(b"k2", 1000)
         assert any(a.encrypt(x) != b.encrypt(x) for x in range(50))
+
+
+def _untabled(prp: FeistelPrp, value: int, inverse: bool = False) -> int:
+    """The Feistel network with every round MACed afresh, no table."""
+    right_bits = prp.bits // 2
+    left, right = value >> right_bits, value & ((1 << right_bits) - 1)
+    for i in (reversed(range(prp.rounds)) if inverse else range(prp.rounds)):
+        if i % 2 == 0:
+            left ^= prp._round_function(i, right)
+        else:
+            right ^= prp._round_function(i, left)
+    return (left << right_bits) | right
+
+
+def _untabled_domain(prp: DomainPrp, value: int, inverse: bool) -> int:
+    value = _untabled(prp._feistel, value, inverse)
+    while value >= prp.size:
+        value = _untabled(prp._feistel, value, inverse)
+    return value
+
+
+class TestRoundTables:
+    """Narrow rounds read a table filled on first use: the same outputs
+    as the untabled network, both ways, tabled or not."""
+
+    @seed(20261022)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_feistel_matches_untabled(self, data):
+        bits = data.draw(st.integers(min_value=2, max_value=24))
+        key = data.draw(st.binary(min_size=1, max_size=32))
+        xs = data.draw(st.lists(st.integers(0, (1 << bits) - 1),
+                                min_size=1, max_size=40))
+        prp = FeistelPrp(key, bits)
+        for x in xs + xs:  # the repeat reads filled entries
+            assert prp.encrypt(x) == _untabled(prp, x)
+            assert prp.decrypt(x) == _untabled(prp, x, inverse=True)
+
+    @seed(20261023)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_domain_prp_matches_untabled(self, data):
+        size = data.draw(st.integers(min_value=2, max_value=1 << 24))
+        key = data.draw(st.binary(min_size=1, max_size=32))
+        xs = data.draw(st.lists(st.integers(0, size - 1),
+                                min_size=1, max_size=40))
+        prp = DomainPrp(key, size)
+        for x in xs + xs:
+            assert prp.encrypt(x) == _untabled_domain(prp, x, False)
+            assert prp.decrypt(x) == _untabled_domain(prp, x, True)
+
+    def test_narrow_halves_are_tabled_and_wide_ones_computed(self):
+        """φ's halves are tabled; ℓ_c's and θ's are MACed per call."""
+        assert all(table is not None for table in FeistelPrp(b"k", 7)._tables)
+        assert all(len(table) == 1 << 12
+                   for table in FeistelPrp(b"k", 24)._tables)
+        wide = FeistelPrp(b"k", 64)._tables
+        assert wide == [None] * 10

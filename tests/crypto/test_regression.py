@@ -25,6 +25,7 @@ import hashlib
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.crypto.ec import Point
 from repro.crypto.fields import Fp2Element
@@ -494,6 +495,156 @@ class TestUploadCosts:
         Sse1Scheme(keygen(rng)).build_index(keyword_map, rng)
         # Every node is three blocks under its own λ, all in one pass.
         assert passes == [-(-NODE_PLAINTEXT_BYTES // 16) * nodes]
+
+    def test_phi_round_macs_bounded_by_its_tables(self, monkeypatch):
+        from repro.crypto.prp import FeistelPrp
+        from repro.ehr.phi import generate_workload
+        from repro.sse.scheme import Sse1Scheme, keygen
+
+        collection = generate_workload(HmacDrbg(b"phi-count"), 20)
+        rng = HmacDrbg(b"phi-count-keys")
+        scheme = Sse1Scheme(keygen(rng))
+        widths = []
+        original = FeistelPrp._round_function
+
+        def counting_round(self, round_index, value):
+            if self is not scheme._ell:
+                widths.append(self.bits)
+            return original(self, round_index, value)
+
+        monkeypatch.setattr(FeistelPrp, "_round_function", counting_round)
+        scheme.build_index(collection.keyword_map(), rng)
+        # φ's 7-bit domain splits into 4- and 3-bit halves: each round
+        # MACs each input value once at most.
+        assert set(widths) == {7}
+        assert len(widths) <= 5 * 2 ** 3 + 5 * 2 ** 4
+
+    def test_no_patient_pairing_after_first_upload(self, monkeypatch):
+        from repro.core.protocols.storage import private_phi_storage
+        from repro.core.system import build_system
+        from repro.crypto import pairing
+        from repro.ehr.phi import generate_workload
+        from repro.net.transport import LoopbackTransport
+
+        system = build_system(seed=b"pair-count", params=PARAMS)
+        patient, server = system.patient, system.sserver
+        patient.import_collection(generate_workload(
+            HmacDrbg(b"pair-count"), 3, server.address))
+        net = LoopbackTransport()
+        private_phi_storage(patient, server, net)
+
+        slots = []
+        original = pairing.PreparedPairing.pair
+
+        def counting_pair(self, Q):
+            slots.append(self.point)
+            return original(self, Q)
+
+        monkeypatch.setattr(pairing.PreparedPairing, "pair", counting_pair)
+        for _ in range(5):
+            private_phi_storage(patient, server, net)
+        # The patient's ν is a G2 power of ê(PK_S, Γ); the S-server
+        # still pairs Γ_S with each fresh TP′.
+        assert slots == [server.identity_key.private] * 5
+
+    def test_files_encrypted_in_one_kernel_pass(self, monkeypatch):
+        from repro.crypto import modes
+        from repro.ehr.phi import generate_workload
+        from repro.sse.scheme import Sse1Scheme, keygen
+
+        files = generate_workload(HmacDrbg(b"file-count"), 20).plaintext_map()
+        passes = []
+        original = modes.encrypt_blocks
+
+        def counting_pass(round_keys, blocks):
+            passes.append(len(blocks) // 16)
+            return original(round_keys, blocks)
+
+        monkeypatch.setattr(modes, "encrypt_blocks", counting_pass)
+        rng = HmacDrbg(b"file-count-keys")
+        Sse1Scheme(keygen(rng)).encrypt_collection(files, rng)
+        # Block-major lanes: every file is padded to the longest one.
+        depth = max(-(-len(content) // 16) for content in files.values())
+        assert passes == [depth * len(files)]
+
+
+class _FixedScalar:
+    """An ``rng`` whose ``randint`` returns one chosen scalar."""
+
+    def __init__(self, scalar: int) -> None:
+        self.scalar = scalar
+
+    def randint(self, low: int, high: int) -> int:
+        assert low <= self.scalar <= high
+        return self.scalar
+
+
+@pytest.fixture(scope="module", params=["ss160", "ss512"])
+def deployment(request):
+    from repro.core.system import build_system
+    params = PARAMS if request.param == "ss160" else default_params()
+    return build_system(seed=b"rho-shortcut", params=params)
+
+
+class TestRhoShortcut:
+    """ν = ê(PK_S, Γ)^ρ for the patient's own pseudonyms: the same key as
+    the pairing on either side, with ρ kept out of every encoding."""
+
+    @seed(20261021)
+    @settings(max_examples=12, deadline=None)
+    @given(st.data())
+    def test_nu_via_rho_equals_both_pairings(self, deployment, data):
+        from repro.crypto.nike import shared_key_from_points
+        from repro.crypto.pseudonym import TemporaryKeyPair, self_generate
+
+        params = deployment.patient.params
+        rho = data.draw(st.one_of(st.integers(1, params.r - 1),
+                                  st.sampled_from([1, 2, params.r - 1])))
+        patient, server = deployment.patient, deployment.sserver
+        pair = self_generate(patient._base_pair, params, _FixedScalar(rho))
+        server_public = server.identity_key.public
+        nu = patient.session_key_with(server_public, pair)
+        assert nu == shared_key_from_points(server_public, pair.private)
+        assert nu == server.session_key(pair.public)
+        # A pair with no ρ, or a ρ over another Γ, is paired instead.
+        bare = TemporaryKeyPair(public=pair.public, private=pair.private)
+        assert patient.session_key_with(server_public, bare) == nu
+        foreign = self_generate(pair, params, _FixedScalar(rho))
+        assert patient.session_key_with(server_public, foreign) == \
+            shared_key_from_points(server_public, foreign.private)
+
+    def test_rho_stays_out_of_repr_equality_and_assign_bytes(self):
+        import pickle
+        from dataclasses import replace
+        from repro.core.entities import AssignPackage
+        from repro.core.protocols.storage import private_phi_storage
+        from repro.core.system import build_system
+        from repro.crypto.pseudonym import TemporaryKeyPair
+        from repro.ehr.records import Category
+        from repro.net.transport import LoopbackTransport
+
+        system = build_system(seed=b"rho-privacy", params=PARAMS)
+        patient, server = system.patient, system.sserver
+        patient.add_record(Category.ALLERGIES, ["allergies"], "penicillin",
+                           server.address)
+        private_phi_storage(patient, server, LoopbackTransport())
+        package = patient.make_assign_package("family", server.address)
+        pair = package.pseudonym
+        rho = pair.rho
+        assert rho is not None
+        package = replace(package, nu=patient.session_key_with(
+            server.identity_key.public, pair))
+        blob = package.to_bytes(PARAMS)
+        width = (PARAMS.r.bit_length() + 7) // 8
+        for encoding in (rho.to_bytes(width, "big"), _int_bytes(rho),
+                         str(rho).encode(), ("%x" % rho).encode()):
+            assert encoding not in blob
+        for text in (str(rho), "%x" % rho):
+            assert text not in repr(pair) and text not in str(pair)
+        bare = TemporaryKeyPair(public=pair.public, private=pair.private)
+        assert pair == bare and hash(pair) == hash(bare)
+        assert pickle.loads(pickle.dumps(pair)).rho is None
+        assert AssignPackage.from_bytes(blob, PARAMS).pseudonym.rho is None
 
 
 HMAC_PIN = "1d7111ffc148ff7c78a4ec4575667c5f291a397ebc1e04f5d4eb1c989735381b"
